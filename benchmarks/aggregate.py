@@ -42,6 +42,7 @@ HEADLINES = {
         "reader_throughput_ratio": ("reader_throughput",
                                     "throughput_ratio"),
         "group_commit_fsyncs_saved": ("group_commit", "fsyncs_saved"),
+        "rename_10k_vs_1k": ("write_cost_scaling", "rename_10k_vs_1k"),
     },
     "trim_query": {
         "compound_index_speedup_x": ("two_field_selection", "speedup"),

@@ -1,6 +1,6 @@
 """Concurrent-access benchmarks: snapshot reads and group commit (ISSUE 4).
 
-Two questions the concurrency work answers:
+Three questions the concurrency work answers:
 
 1. **Reader throughput during ingest** — reader threads running
    selection + count workloads while another thread bulk-ingests must
@@ -12,6 +12,12 @@ Two questions the concurrency work answers:
    ``sync='group'``, the background flusher must issue *fewer* fsyncs
    than commits (one batched fsync acks every committer whose changes
    it covers), where ``sync='inline'`` pays one fsync per commit.
+3. **Write cost vs store size** — a rename (the DMI's remove-then-add of
+   one ``scrapName`` triple) on a ``concurrent=True`` ``TrimManager``,
+   the store every served tenant runs on, must cost about the same at
+   10k scraps as at 1k: index writes are O(1) per triple, so
+   ``rename_10k_vs_1k`` stays near 1.0 (it was ~7x while concurrent
+   mode copied every touched index bucket on each write).
 
 Results print via ``print_table`` (run with ``-s``) and aggregate into
 ``BENCH_trim_concurrency.json`` at the repo root.  ``BENCH_SMOKE=1``
@@ -20,12 +26,14 @@ shrinks the workload and redirects the JSON to a temp path.
 
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
 
 from repro.triples.store import TripleStore
-from repro.triples.triple import Resource, triple
+from repro.triples.triple import Literal, Resource, triple
+from repro.triples.trim import TrimManager
 from repro.triples.wal import Durability, recover
 
 from benchmarks.conftest import print_table, run_once
@@ -38,6 +46,9 @@ NUM_READERS = 2
 #: Group-commit racing: threads x commits each.
 NUM_COMMITTERS = 4
 COMMITS_EACH = 50
+#: Write-cost scaling: pad sizes (scraps) and renames timed on each.
+SMALL_PAD, LARGE_PAD = 1_000, 10_000
+RENAMES = 200 if _SMOKE else 2000
 _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_trim_concurrency.json"
 
 #: Sections accumulated by the tests below; the last test writes the file.
@@ -213,13 +224,71 @@ def test_group_commit_coalescing(benchmark, tmp_path):
           f"{group['seconds']:.4f}")])
 
 
+def _scrap_pad(scraps):
+    """A concurrent TrimManager holding *scraps* DMI-shaped scraps."""
+    trim = TrimManager(concurrent=True)
+    trim.bulk_ingest(
+        t for i in range(scraps) for t in (
+            triple(f"scrap-{i}", "rdf:type", Resource("slim:Scrap")),
+            triple(f"scrap-{i}", "slim:scrapName", f"scrap {i}"),
+            triple(f"scrap-{i}", "slim:scrapMark", Resource(f"mh-{i}"))))
+    return trim
+
+
+def _rename_us(trim, scraps, r):
+    """Time one DMI-style rename (remove the old name, add the new)."""
+    subject = Resource(f"scrap-{(r * 7919) % scraps}")
+    name = Resource("slim:scrapName")
+    start = time.perf_counter()
+    trim.store.remove_matching(subject=subject, property=name)
+    trim.create(subject, name, Literal(f"renamed {r}"))
+    return (time.perf_counter() - start) * 1e6
+
+
+def test_write_cost_scaling(benchmark):
+    """Rename cost on a concurrent store is flat from 1k to 10k scraps."""
+    small, large = _scrap_pad(SMALL_PAD), _scrap_pad(LARGE_PAD)
+
+    def measure():
+        # Interleaved so host drift hits both pads alike.
+        small_us, large_us = [], []
+        for r in range(RENAMES):
+            small_us.append(_rename_us(small, SMALL_PAD, r))
+            large_us.append(_rename_us(large, LARGE_PAD, r))
+        return statistics.median(small_us), statistics.median(large_us)
+
+    small_us, large_us = run_once(benchmark, measure)
+    ratio = large_us / small_us
+    assert small.store.count(property=Resource("slim:scrapName")) == SMALL_PAD
+    assert large.store.count(property=Resource("slim:scrapName")) == LARGE_PAD
+    if not _SMOKE:
+        assert ratio <= 2.0, \
+            f"a rename at {LARGE_PAD} scraps costs {ratio:.1f}x one at " \
+            f"{SMALL_PAD} (need <= 2x)"
+
+    _RESULTS["write_cost_scaling"] = {
+        "scraps_small": SMALL_PAD,
+        "scraps_large": LARGE_PAD,
+        "renames_each": RENAMES,
+        "rename_us_1k": round(small_us, 1),
+        "rename_us_10k": round(large_us, 1),
+        "rename_10k_vs_1k": round(ratio, 2),
+    }
+    print_table(
+        f"Rename on a concurrent TrimManager (median of {RENAMES})",
+        ["scraps", "rename us"],
+        [(SMALL_PAD, f"{small_us:.1f}"), (LARGE_PAD, f"{large_us:.1f}"),
+         ("10k / 1k", f"{ratio:.2f}x")])
+
+
 def test_writes_trajectory_json(benchmark, tmp_path):
     """Aggregate the sections above into BENCH_trim_concurrency.json.
 
     Smoke runs write to a temp path instead, so the checked-in trajectory
     file always holds full-scale numbers.
     """
-    assert set(_RESULTS) == {"reader_throughput", "group_commit"}, \
+    assert set(_RESULTS) == {"reader_throughput", "group_commit",
+                             "write_cost_scaling"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_concurrency.json")
                  if _SMOKE else _JSON_PATH)
@@ -232,6 +301,9 @@ def test_writes_trajectory_json(benchmark, tmp_path):
             "reader_ops_each": READER_OPS,
             "committer_threads": NUM_COMMITTERS,
             "commits_each": COMMITS_EACH,
+            "scraps_small": SMALL_PAD,
+            "scraps_large": LARGE_PAD,
+            "renames_each": RENAMES,
         },
         **_RESULTS,
     }

@@ -10,13 +10,15 @@ Two questions the sharding work answers:
    ``shards=1``.  Two physical effects compound, neither of which is
    GIL-parallelism:
 
-   - *Partitioned copy-on-write indexes.*  In concurrent mode every
-     insert republishes its index buckets copy-on-write so snapshot
-     readers never see a torn set; shared buckets (each property, each
-     value) grow with the whole store, so per-insert copy cost grows
-     linearly with everything ingested so far.  Hash-partitioning cuts
-     every bucket to ~1/N of the unsharded size — the same reason
-     partitioned databases shard their secondary indexes.
+   - *Partitioned copy-on-write indexes.*  Concurrent mode used to
+     republish every index bucket an insert touched as a fresh copy, so
+     per-insert cost grew with the shared property/value buckets, and
+     hash-partitioning cut every bucket to ~1/N of the unsharded size.
+     Writes now update buckets in place at O(1) per triple (DESIGN.md
+     §10), so this effect is gone: re-measured on a 2-vCPU VM, the
+     1-shard rate rose ~5x and the 4-shard rate ~2x, leaving ~1.3x
+     between them, under the 2x bar below.  The committed
+     ``BENCH_trim_sharding.json`` predates that change.
    - *Overlapped WAL fsyncs.*  One WAL serializes every durable ack
      behind one fsync stream; with a WAL per shard, fsyncs on different
      log files overlap in the device's journal (measured ~2.4x effective

@@ -16,8 +16,8 @@ sequence numbers), so TRIM-level code, the query planner, cached views,
 the undo log, the write-ahead log, and the ablation bench can swap it in.
 The shared contract is pinned by ``tests/test_triples_store_parity.py``
 — including the concurrency contract: lock-guarded mutations, lock-free
-snapshot reads during bulk loads, and the opt-in copy-on-write
-``concurrent=True`` mode (see the ``store`` module docstring and
+snapshot reads during bulk loads, and the opt-in ``concurrent=True``
+mode's snapshotting readers (see the ``store`` module docstring and
 DESIGN.md §10).  One invariant specific to this implementation: reader
 threads never touch the intern table's write path — ``_intern`` runs
 only under the store lock, readers use ``_lookup``.
@@ -30,7 +30,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
                     Tuple)
 
 from repro.errors import TransactionError, TripleNotFoundError
-from repro.triples.store import AtomicListener, BulkLoad, ChangeListener
+from repro.triples.store import (AtomicListener, BulkLoad, ChangeListener,
+                                 TripleStore)
 
 from repro.triples.triple import Literal, Node, Resource, Triple
 
@@ -213,8 +214,8 @@ class InternedTripleStore:
                 self._notify("add", t, sequence)
 
     def _publish_indexed(self, pending: List[Tuple[_Key, Triple, int]]) -> None:
-        """Copy-on-write index maintenance for ``concurrent=True`` (same
-        atomic bucket publication as ``TripleStore._publish_indexed``)."""
+        """Multi-key publish for ``concurrent=True`` (same bucket rule as
+        ``TripleStore._publish_indexed``)."""
         for index, key_of in (
                 (self._by_subject, lambda k: k[0]),
                 (self._by_property, lambda k: k[1]),
@@ -226,7 +227,11 @@ class InternedTripleStore:
                 additions.setdefault(key_of(key), []).append(key)
             for index_key, keys in additions.items():
                 old = index.get(index_key)
-                index[index_key] = set(keys) if old is None else old.union(keys)
+                if old is not None and len(keys) == 1:
+                    old.add(keys[0])
+                else:
+                    index[index_key] = (set(keys) if old is None
+                                        else old.union(keys))
 
     # -- interning ---------------------------------------------------------------
 
@@ -390,17 +395,6 @@ class InternedTripleStore:
         self._statements[key] = sequence
         self._sequence = max(self._sequence, sequence + 1)
         self._generation += 1
-        if self.concurrent:
-            for index, index_key in ((self._by_subject, key[0]),
-                                     (self._by_property, key[1]),
-                                     (self._by_value, key[2]),
-                                     (self._by_subject_property,
-                                      (key[0], key[1])),
-                                     (self._by_property_value,
-                                      (key[1], key[2]))):
-                old = index.get(index_key)
-                index[index_key] = {key} if old is None else old | {key}
-            return sequence
         self._by_subject.setdefault(key[0], set()).add(key)
         self._by_property.setdefault(key[1], set()).add(key)
         self._by_value.setdefault(key[2], set()).add(key)
@@ -459,28 +453,21 @@ class InternedTripleStore:
                 raise TripleNotFoundError(f"triple not in store: {triple}")
             sequence = self._statements.pop(key)  # type: ignore[arg-type]
             self._generation += 1
-            cow = self.concurrent
             for index, index_key in ((self._by_subject, key[0]),
                                      (self._by_property, key[1]),
                                      (self._by_value, key[2]),
                                      (self._by_subject_property, (key[0], key[1])),
                                      (self._by_property_value, (key[1], key[2]))):
-                self._bucket_discard(index, index_key, key, cow)
+                self._bucket_discard(index, index_key, key)
             self._notify("remove", triple, sequence)
 
     @staticmethod
-    def _bucket_discard(index: Dict, index_key, key, cow: bool) -> None:
+    def _bucket_discard(index: Dict, index_key, key) -> None:
         bucket = index.get(index_key)
-        if bucket is None or key not in bucket:
-            return
-        if len(bucket) == 1:
-            del index[index_key]
-        elif cow:
-            # Publish a rebuilt bucket atomically; the old set stays
-            # intact for any reader already iterating it.
-            index[index_key] = bucket - {key}
-        else:
+        if bucket is not None:
             bucket.discard(key)
+            if not bucket:
+                del index[index_key]
 
     def discard(self, triple: Triple) -> bool:
         """Delete if present; returns whether it was."""
@@ -508,7 +495,6 @@ class InternedTripleStore:
             if not victims:
                 return 0
             statements = self._statements
-            cow = self.concurrent
             notify = self._notify if self._listeners else None
             for key in victims:
                 sequence = statements.pop(key)
@@ -519,7 +505,7 @@ class InternedTripleStore:
                                           (key[0], key[1])),
                                          (self._by_property_value,
                                           (key[1], key[2]))):
-                    self._bucket_discard(index, index_key, key, cow)
+                    self._bucket_discard(index, index_key, key)
                 self._generation += 1
                 if notify is not None:
                     notify("remove", self._triple_of(key), sequence)
@@ -596,18 +582,21 @@ class InternedTripleStore:
             small, big = ((subj_bucket, val_bucket)
                           if len(subj_bucket) <= len(val_bucket)
                           else (val_bucket, subj_bucket))
-            candidates = (k for k in small if k in big)
+            # Probing the live *big* set is one C step, atomic under races.
+            yield from (k for k in self._stable(small) if k in big)
+            return
         elif sid is not None:
             candidates = self._by_subject.get(sid, _EMPTY)
         elif pid is not None:
             candidates = self._by_property.get(pid, _EMPTY)
         elif vid is not None:
             candidates = self._by_value.get(vid, _EMPTY)
-        elif self.concurrent or self._pending is not None:
-            candidates = list(self._statements)
         else:
             candidates = self._statements.keys()
-        yield from candidates
+        yield from self._stable(candidates)
+
+    # Same snapshot rule as TripleStore: a copy only when a writer may race.
+    _stable = TripleStore._stable
 
     def select(self, subject: Optional[Resource] = None,
                property: Optional[Resource] = None,

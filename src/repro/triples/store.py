@@ -22,10 +22,11 @@ pending inserts before its reads — read-your-writes.  Every other thread
 reads the snapshot as of the last flush: the membership map, the indexes,
 and :attr:`generation` all describe the same consistent state because
 pending inserts touch none of them until the flush publishes everything
-together.  Constructing the store with ``concurrent=True`` additionally
-makes index maintenance copy-on-write — published buckets are never
-mutated in place, so lock-free readers may iterate them lazily while
-writers race — at the cost of rebuilding a bucket per touched key.
+together.  Constructing the store with ``concurrent=True`` makes reads
+iterate a one-``tuple()`` snapshot of the bucket they pick, so writers
+update buckets in place at O(1) per triple; DESIGN.md §10 gives the GIL
+argument that a reader sees each bucket before or after a write, never
+in between.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class TripleStore:
     :attr:`lock` for callers that need a consistent multi-step read, e.g.
     snapshot writers).  Plain reads take no lock.  Pass
     ``concurrent=True`` when reader threads will overlap with writers:
-    index buckets then become copy-on-write so a reader holding a bucket
-    never observes it mid-mutation.
+    reads then iterate a snapshot of the bucket they picked, so a writer
+    updating it in place never disturbs them (see the module docstring).
     """
 
     def __init__(self, concurrent: bool = False) -> None:
@@ -305,12 +306,13 @@ class TripleStore:
                 self._notify("add", t, sequence)
 
     def _publish_indexed(self, pending: List[Tuple[Triple, int]]) -> None:
-        """Copy-on-write index maintenance for ``concurrent=True``.
+        """Multi-triple index publish (bulk flush, :meth:`add_all`) for
+        ``concurrent=True``.
 
-        Additions are grouped per bucket key, then each touched bucket is
-        rebuilt once and published with a single dict assignment, so a
-        reader that grabbed the old bucket keeps iterating an immutable
-        set while the new one becomes visible atomically.
+        Additions are grouped per bucket key.  A bucket gaining one triple
+        is updated in place; one gaining more is rebuilt once and published
+        with a single dict assignment, so readers see all or none of the
+        batch's additions to it, and the copy is amortized over the batch.
         """
         for index, key_of in (
                 (self._by_subject, lambda t: t.subject),
@@ -325,7 +327,10 @@ class TripleStore:
                 additions.setdefault(key_of(t), []).append(t)
             for key, ts in additions.items():
                 old = index.get(key)
-                index[key] = set(ts) if old is None else old.union(ts)
+                if old is not None and len(ts) == 1:
+                    old.add(ts[0])
+                else:
+                    index[key] = set(ts) if old is None else old.union(ts)
 
     # -- mutation -----------------------------------------------------------
 
@@ -480,7 +485,8 @@ class TripleStore:
             # Every node was type-checked above, so each row's triple is
             # built directly (``__new__`` + field binds) instead of
             # through the frozen-dataclass constructor — same instances,
-            # identical eq/hash, but without re-running ``__post_init__``
+            # identical eq/hash (the cached ``_hash`` is combined exactly as
+            # ``Triple.__post_init__`` does), but without re-running its
             # validation 100k times on the cold-start path.
             new_triple = Triple.__new__
             bind = object.__setattr__
@@ -493,6 +499,7 @@ class TripleStore:
                 bind(t, "subject", subject)
                 bind(t, "property", prop)
                 bind(t, "value", value)
+                bind(t, "_hash", hash((subject._hash, prop._hash, value._hash)))
                 members[t] = sequence
                 if sequence < tail:
                     need_sort = True
@@ -611,8 +618,7 @@ class TripleStore:
                 raise TripleNotFoundError(f"triple not in store: {triple}")
             sequence = self._triples.pop(triple)
             self._generation += 1
-            discard = (self._index_discard_cow if self.concurrent
-                       else self._index_discard)
+            discard = self._index_discard
             discard(self._by_subject, triple.subject, triple)
             discard(self._by_property, triple.property, triple)
             discard(self._by_value, triple.value, triple)
@@ -637,10 +643,10 @@ class TripleStore:
         """Delete every triple matching the selection; return the count.
 
         Batched removal fast path: the victims are materialized once
-        (match() iterates live index buckets, so this must happen before
-        the first removal mutates them), then dropped with bound locals —
-        one membership pop plus five bucket discards each, instead of a
-        full :meth:`remove` call per triple.  Listeners still see every
+        (single-threaded match() iterates live index buckets, so this must
+        happen before the first removal mutates them), then dropped with
+        bound locals — one membership pop plus five bucket discards each,
+        instead of a full :meth:`remove` call per triple.  Listeners still see every
         removal individually, in match order.
         """
         with self._lock:
@@ -653,8 +659,7 @@ class TripleStore:
             by_s, by_p, by_v = (self._by_subject, self._by_property,
                                 self._by_value)
             by_sp, by_pv = self._by_subject_property, self._by_property_value
-            discard = (self._index_discard_cow if self.concurrent
-                       else self._index_discard)
+            discard = self._index_discard
             notify = self._notify if self._listeners else None
             for t in victims:
                 sequence = members.pop(t)
@@ -707,7 +712,9 @@ class TripleStore:
 
         During a :meth:`bulk` load the owner thread flushes pending
         inserts first, so its selections never observe stale indexes;
-        other threads read the last-flush snapshot without flushing.
+        other threads read the last-flush snapshot without flushing.  When
+        a writer may race, the bucket is snapshotted (:meth:`_stable`)
+        before the first yield.
         """
         self._read_barrier()
         if subject is not None and property is not None and value is not None:
@@ -717,10 +724,12 @@ class TripleStore:
             return
         if subject is not None and property is not None:
             # Exact bucket: no residual checks needed.
-            yield from self._by_subject_property.get((subject, property), _EMPTY)
+            yield from self._stable(self._by_subject_property.get(
+                (subject, property), _EMPTY))
             return
         if property is not None and value is not None:
-            yield from self._by_property_value.get((property, value), _EMPTY)
+            yield from self._stable(self._by_property_value.get(
+                (property, value), _EMPTY))
             return
         candidates = self._candidates(subject, property, value)
         for triple in candidates:
@@ -969,12 +978,11 @@ class TripleStore:
     def _candidates(self, subject: Optional[Resource],
                     property: Optional[Resource],
                     value: Optional[Node]) -> Iterable[Triple]:
-        """Pick the smallest index bucket covering the fixed fields.
+        """Pick the smallest index bucket covering the fixed fields (the
+        whole membership map when none is fixed), via :meth:`_stable`.
 
-        With no field fixed this returns the live dict view (no copy)
-        in single-threaded mode, or an atomic list snapshot when a bulk
-        writer or concurrent mode is in play; callers that mutate while
-        consuming must snapshot first, as :meth:`remove_matching` does.
+        Callers that mutate while consuming must snapshot first, as
+        :meth:`remove_matching` does.
         """
         buckets: List[Iterable[Triple]] = []
         if subject is not None:
@@ -984,24 +992,23 @@ class TripleStore:
         if value is not None:
             buckets.append(self._by_value.get(value, _EMPTY))
         if not buckets:
-            if self.concurrent or self._pending is not None:
-                return list(self._triples)
-            return self._triples.keys()
-        return min(buckets, key=len)
+            return self._stable(self._triples.keys())
+        return self._stable(min(buckets, key=len))
+
+    def _stable(self, source: Iterable[Triple]) -> Iterable[Triple]:
+        """*source* itself, or a ``tuple()`` snapshot of it when a writer
+        may race (``concurrent`` mode or an open bulk load).  The retry
+        covers a collection, run by the tuple's allocation, whose
+        finalizers let a writer resize *source* (DESIGN.md §10)."""
+        if not (self.concurrent or self._pending is not None):
+            return source
+        while True:
+            try:
+                return tuple(source)
+            except RuntimeError:
+                continue
 
     def _index_insert(self, triple: Triple) -> None:
-        if self.concurrent:
-            for index, key in (
-                    (self._by_subject, triple.subject),
-                    (self._by_property, triple.property),
-                    (self._by_value, triple.value),
-                    (self._by_subject_property,
-                     (triple.subject, triple.property)),
-                    (self._by_property_value,
-                     (triple.property, triple.value))):
-                old = index.get(key)
-                index[key] = {triple} if old is None else old | {triple}
-            return
         self._by_subject.setdefault(triple.subject, set()).add(triple)
         self._by_property.setdefault(triple.property, set()).add(triple)
         self._by_value.setdefault(triple.value, set()).add(triple)
@@ -1017,18 +1024,6 @@ class TripleStore:
             bucket.discard(triple)
             if not bucket:
                 del index[key]
-
-    @staticmethod
-    def _index_discard_cow(index: Dict, key, triple: Triple) -> None:
-        """Copy-on-write bucket removal: publish a rebuilt bucket (or drop
-        the key) atomically instead of mutating the old set in place."""
-        bucket = index.get(key)
-        if bucket is None or triple not in bucket:
-            return
-        if len(bucket) == 1:
-            del index[key]
-        else:
-            index[key] = bucket - {triple}
 
     def _notify(self, action: str, triple: Triple, sequence: int) -> None:
         for listener in list(self._listeners):

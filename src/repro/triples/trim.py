@@ -100,7 +100,8 @@ class TrimManager:
     Pass ``concurrent=True`` when reader threads query while another
     thread ingests: reads (:meth:`select`, :meth:`count`, :meth:`query`,
     views) then run lock-free against the last-flushed snapshot and never
-    force a mid-ingest index flush; index buckets publish copy-on-write.
+    force a mid-ingest index flush; each read iterates a snapshot of the
+    index bucket it picks, so writers update buckets in place.
     ``sync='group'``/``'async'`` moves commit fsyncs to a background
     flusher shared by all committing threads.
 

@@ -8,7 +8,13 @@ resource, and a value)."*  We follow RDF terminology — a triple is
 either a :class:`Resource` or a :class:`Literal`.
 
 All three node types are immutable and hashable so triples can live in set-
-and dict-based indexes.
+and dict-based indexes.  Each caches its hash in a ``_hash`` slot when it
+is built: the store probes five index buckets and a membership map per
+triple, and a Python-level hash recomputed on every probe (a triple's
+hash re-hashing its three nodes) dominated cold-open time.  Pickling and
+copying go through the constructor (``__reduce__``), so the cached value
+is always recomputed in the process that uses it — string hashes are
+salted per process.
 """
 
 from __future__ import annotations
@@ -31,11 +37,20 @@ class Resource:
     ``bundle-000003`` (see :mod:`repro.triples.namespaces`).
     """
 
+    __slots__ = ("uri", "_hash")
+
     uri: str
 
     def __post_init__(self) -> None:
         if not self.uri:
             raise InvalidTripleError("Resource uri must be non-empty")
+        object.__setattr__(self, "_hash", hash(self.uri))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Resource, (self.uri,))
 
     def __str__(self) -> str:
         return self.uri
@@ -61,6 +76,8 @@ class Literal:
     :mod:`repro.triples.persistence`).
     """
 
+    __slots__ = ("value", "_hash")
+
     value: LiteralValue
 
     def __post_init__(self) -> None:
@@ -68,6 +85,7 @@ class Literal:
         if not isinstance(self.value, (bool, int, float, str)):
             raise InvalidTripleError(
                 f"Literal must wrap str/int/float/bool, got {type(self.value).__name__}")
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def _key(self) -> "tuple[type, LiteralValue]":
         return (type(self.value), self.value)
@@ -78,7 +96,10 @@ class Literal:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
+
+    def __reduce__(self):
+        return (Literal, (self.value,))
 
     def __lt__(self, other: "Literal") -> bool:
         """Deterministic total order: by type tag, then textual form."""
@@ -116,6 +137,8 @@ class Triple:
         Triple(Resource('bundle-01'), Resource('slim:bundleContent'), Resource('scrap-07'))
     """
 
+    __slots__ = ("subject", "property", "value", "_hash")
+
     subject: Resource
     property: Resource
     value: Node
@@ -130,6 +153,16 @@ class Triple:
         if not isinstance(self.value, (Resource, Literal)):
             raise InvalidTripleError(
                 f"triple value must be Resource or Literal, got {type(self.value).__name__}")
+        # Combines the nodes' cached hashes; TripleStore.restore_rows,
+        # which builds triples without this constructor, must match it.
+        object.__setattr__(self, "_hash", hash(
+            (self.subject._hash, self.property._hash, self.value._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Triple, (self.subject, self.property, self.value))
 
     def __str__(self) -> str:
         return f"({self.subject} {self.property} {self.value})"

@@ -21,7 +21,9 @@ this change lives in :class:`TestDurabilityEdgeCases`:
 """
 
 import os
+import pickle
 import shutil
+import sys
 import threading
 import time
 
@@ -34,7 +36,7 @@ from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch
 from repro.triples.trim import TrimManager
-from repro.triples.triple import Resource, triple
+from repro.triples.triple import Literal, Resource, Triple, triple
 from repro.triples.views import View
 from repro.triples.wal import (WAL_FILE, Durability, WriteAheadLog, recover)
 
@@ -300,6 +302,169 @@ class TestConcurrentStress:
         # The acceptance bar: not one flush ran on a reader thread.
         assert not (set(flush_threads) & reader_idents)
         assert set(flush_threads) == {writer_thread.ident}
+
+
+_INDEXES = ("_by_subject", "_by_property", "_by_value",
+            "_by_subject_property", "_by_property_value")
+
+
+def _buckets(store):
+    """Every index bucket of *store*, keyed by (index name, bucket key)."""
+    return {(name, key): bucket for name in _INDEXES
+            for key, bucket in getattr(store, name).items()}
+
+
+def _bucket_key(store, node):
+    """The single-field index key of *node* (interned stores key by id)."""
+    if isinstance(store, InternedTripleStore):
+        return store._lookup(node)
+    return node
+
+
+class TestInPlaceIndexWrites:
+    """concurrent=True keeps single-triple writes O(1): no bucket copies."""
+
+    BIG = 10_000
+
+    def test_single_writes_never_rebind_a_bucket(self, store_cls):
+        store = store_cls(concurrent=True)
+        name = Resource("slim:scrapName")
+        store.add_all(triple(f"scrap{i}", name, f"n{i}")
+                      for i in range(self.BIG))
+        big = store._by_property[_bucket_key(store, name)]
+        assert len(big) == self.BIG
+        writes = [
+            lambda: store.add(triple("scrap1", name, "renamed")),
+            lambda: store.remove(triple("scrap2", name, "n2")),
+            # A DMI rename: remove the old value, add the new one.
+            lambda: store.remove_matching(subject=Resource("scrap3"),
+                                          property=name),
+            lambda: store.add(triple("scrap3", name, "r3")),
+        ]
+        for write in writes:
+            before = _buckets(store)
+            write()
+            after = _buckets(store)
+            for key, bucket in before.items():
+                assert after.get(key, bucket) is bucket, \
+                    f"{key[0]} bucket was copied by a single-triple write"
+        assert store._by_property[_bucket_key(store, name)] is big
+        assert len(big) == self.BIG  # +1 add, -1 remove, -1/+1 rename
+
+    def test_batch_publish_rebuilds_only_multi_triple_buckets(self, store_cls):
+        store = store_cls(concurrent=True)
+        store.add_all([triple("s", "p", 0), triple("t", "q", 0)])
+        p_bucket = store._by_property[_bucket_key(store, Resource("p"))]
+        q_bucket = store._by_property[_bucket_key(store, Resource("q"))]
+        with store.bulk():
+            store.add_all([triple("s", "p", 1), triple("s", "p", 2),
+                           triple("t", "q", 1)])
+        # Two additions: rebuilt and republished, all-or-nothing.
+        assert store._by_property[_bucket_key(store, Resource("p"))] \
+            is not p_bucket
+        # One addition: updated in place.
+        assert store._by_property[_bucket_key(store, Resource("q"))] \
+            is q_bucket
+        assert store.count(property=Resource("p")) == 3
+        assert store.count(property=Resource("q")) == 2
+
+
+class TestReadersRaceInPlaceWrites:
+    """Lock-free readers iterate buckets a writer is updating in place."""
+
+    BASE = 2000
+    WRITES = 1500
+
+    def test_readers_see_before_or_after_each_write(self, store_cls):
+        store = store_cls(concurrent=True)
+        big, hot = Resource("big"), Resource("hot")
+        base = {triple(f"s{i}", big, i) for i in range(self.BASE)}
+        store.add_all(base)
+        anchor = triple(hot, "kind", "x")
+        store.add(anchor)
+        # The writer toggles churn triples one at a time, so at any
+        # instant at most one of them is present — in the big property
+        # bucket and in the small subject bucket alike.
+        churn = [triple(hot, big, -i) for i in range(1, self.WRITES + 1)]
+        universe = set(churn)
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            try:
+                for t in churn:
+                    store.add(t)
+                    store.remove(t)
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    selected = store.select(property=big)
+                    extra = set(selected) - base
+                    assert len(selected) - len(extra) == self.BASE
+                    assert len(extra) <= 1 and extra <= universe
+                    matched = set(store.match(subject=hot))
+                    assert anchor in matched
+                    assert len(matched) <= 2 and matched - {anchor} <= universe
+                    assert self.BASE <= store.count(property=big) \
+                        <= self.BASE + 1
+                    assert 1 <= store.count(subject=hot) <= 2
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(3)]
+            threads.append(threading.Thread(target=writer))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), "thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        assert set(store.select(property=big)) == base
+
+
+class TestCachedHashes:
+    """TRIM nodes cache their hash; equality and hashing stay consistent."""
+
+    def test_equal_nodes_and_triples_hash_equal(self):
+        assert Resource("a") == Resource("a")
+        assert hash(Resource("a")) == hash(Resource("a"))
+        assert hash(Literal("a")) == hash(Literal("a"))
+        one = triple("s", "p", 1)
+        assert one == triple("s", "p", 1)
+        assert hash(one) == hash(triple("s", "p", 1))
+        copied = pickle.loads(pickle.dumps(one))
+        assert copied == one and hash(copied) == hash(one)
+
+    def test_literal_types_stay_distinct(self):
+        nodes = [Literal(1), Literal(1.0), Literal(True)]
+        for i, left in enumerate(nodes):
+            for right in nodes[i + 1:]:
+                assert left != right
+        assert len(set(nodes)) == 3
+
+    def test_restore_rows_triples_match_constructed_ones(self, store_cls):
+        nodes = [Resource("scrap1"), Resource("slim:scrapName"),
+                 Literal("K+ 3.9"), Literal(1), Literal(True)]
+        rows = [(0, 1, 2, 0), (0, 1, 3, 1), (0, 1, 4, 2)]
+        store = store_cls()
+        store.restore_rows(nodes, rows)
+        built = [Triple(nodes[s], nodes[p], nodes[v]) for s, p, v, _ in rows]
+        restored = list(store)
+        assert restored == built
+        assert [hash(t) for t in restored] == [hash(t) for t in built]
+        assert all(t in store for t in built)
+        assert len(set(restored) | set(built)) == len(rows)
 
 
 class TestGroupCommitFlusher:
