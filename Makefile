@@ -38,8 +38,8 @@ bench-ingest:    ## full-scale bulk-ingest benchmark, rewrites its JSON
 
 # Regenerates BENCH_trim_concurrency.json at full scale: reader
 # throughput during bulk ingest vs an idle store (snapshot-isolation
-# read path), and fsyncs per committed group with racing committers on
-# the group-commit flusher.
+# read path), and rename cost at 10k vs 1k scraps on a concurrent store
+# (in-place index writes).
 bench-concurrency: ## full-scale concurrency benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_concurrency.py --benchmark-only -q -s
 

@@ -41,7 +41,6 @@ HEADLINES = {
     "trim_concurrency": {
         "reader_throughput_ratio": ("reader_throughput",
                                     "throughput_ratio"),
-        "group_commit_fsyncs_saved": ("group_commit", "fsyncs_saved"),
         "rename_10k_vs_1k": ("write_cost_scaling", "rename_10k_vs_1k"),
     },
     "trim_query": {

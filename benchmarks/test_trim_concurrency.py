@@ -1,6 +1,6 @@
-"""Concurrent-access benchmarks: snapshot reads and group commit (ISSUE 4).
+"""Concurrent-access benchmarks: snapshot reads and in-place index writes.
 
-Three questions the concurrency work answers:
+Two questions the concurrency work answers:
 
 1. **Reader throughput during ingest** — reader threads running
    selection + count workloads while another thread bulk-ingests must
@@ -8,11 +8,7 @@ Three questions the concurrency work answers:
    deferred-index flushes (the ingest's ``_flush_bulk`` stays on the
    writer thread).  Before this change any reader query forced the
    flush, serializing readers behind the ingest.
-2. **Group-commit coalescing** — with racing committers under
-   ``sync='group'``, the background flusher must issue *fewer* fsyncs
-   than commits (one batched fsync acks every committer whose changes
-   it covers), where ``sync='inline'`` pays one fsync per commit.
-3. **Write cost vs store size** — a rename (the DMI's remove-then-add of
+2. **Write cost vs store size** — a rename (the DMI's remove-then-add of
    one ``scrapName`` triple) on a ``concurrent=True`` ``TrimManager``,
    the store every served tenant runs on, must cost about the same at
    10k scraps as at 1k: index writes are O(1) per triple, so
@@ -34,7 +30,6 @@ from pathlib import Path
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
 from repro.triples.trim import TrimManager
-from repro.triples.wal import Durability, recover
 
 from benchmarks.conftest import print_table, run_once
 
@@ -43,9 +38,6 @@ _SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 BASE_TRIPLES = 500 if _SMOKE else 2000
 READER_OPS = 500 if _SMOKE else 3000
 NUM_READERS = 2
-#: Group-commit racing: threads x commits each.
-NUM_COMMITTERS = 4
-COMMITS_EACH = 50
 #: Write-cost scaling: pad sizes (scraps) and renames timed on each.
 SMALL_PAD, LARGE_PAD = 1_000, 10_000
 RENAMES = 200 if _SMOKE else 2000
@@ -151,79 +143,6 @@ def test_reader_throughput_during_ingest(benchmark):
          ("during bulk ingest", int(busy_tps), f"{ratio:.2f}x")])
 
 
-def _racing_commits(tmp_path, label, sync):
-    """NUM_COMMITTERS threads committing COMMITS_EACH times under *sync*."""
-    store = TripleStore(concurrent=True)
-    directory = str(tmp_path / label)
-    durability = Durability(store, directory, sync=sync,
-                            compact_every=10 ** 6)
-    errors = []
-
-    def committer(worker):
-        try:
-            for i in range(COMMITS_EACH):
-                store.add(triple(f"w{worker}", "p", i))
-                durability.commit()
-        except BaseException as exc:  # pragma: no cover
-            errors.append(exc)
-
-    group_before = durability.group
-    syncs_before = durability.fsync_count
-    threads = [threading.Thread(target=committer, args=(w,))
-               for w in range(NUM_COMMITTERS)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - start
-    assert not errors, errors[0]
-    stats = {
-        "commits": durability.commits_requested,
-        "groups": durability.group - group_before,
-        "fsyncs": durability.fsync_count - syncs_before,
-        "seconds": round(wall, 6),
-    }
-    durability.close()
-    recovered = TripleStore()
-    recover(directory, recovered)
-    assert len(recovered) == NUM_COMMITTERS * COMMITS_EACH, \
-        f"{label}: acked commits missing after recovery"
-    return stats
-
-
-def test_group_commit_coalescing(benchmark, tmp_path):
-    """Racing committers: the flusher fsyncs less often than they commit."""
-    inline = _racing_commits(tmp_path, "inline", "inline")
-    group = run_once(benchmark,
-                     lambda: _racing_commits(tmp_path, "group", "group"))
-
-    total = NUM_COMMITTERS * COMMITS_EACH
-    assert inline["commits"] == total
-    assert inline["fsyncs"] == total  # one fsync per commit, by design
-    assert group["commits"] == total
-    # The coalescing acceptance bar: strictly fewer fsyncs than commits,
-    # every commit still durably acked (checked via recovery above).
-    assert group["fsyncs"] < total, "group commit never coalesced"
-    assert group["groups"] == group["fsyncs"]
-
-    _RESULTS["group_commit"] = {
-        "committer_threads": NUM_COMMITTERS,
-        "commits_each": COMMITS_EACH,
-        "inline": inline,
-        "group": group,
-        "fsyncs_saved": total - group["fsyncs"],
-        "coalescing_x": round(total / max(group["fsyncs"], 1), 2),
-    }
-    print_table(
-        f"{NUM_COMMITTERS} committers x {COMMITS_EACH} commits",
-        ["sync mode", "commits", "fsyncs", "seconds"],
-        [("inline", inline["commits"], inline["fsyncs"],
-          f"{inline['seconds']:.4f}"),
-         ("group", group["commits"], group["fsyncs"],
-          f"{group['seconds']:.4f}")])
-
-
 def _scrap_pad(scraps):
     """A concurrent TrimManager holding *scraps* DMI-shaped scraps."""
     trim = TrimManager(concurrent=True)
@@ -287,8 +206,7 @@ def test_writes_trajectory_json(benchmark, tmp_path):
     Smoke runs write to a temp path instead, so the checked-in trajectory
     file always holds full-scale numbers.
     """
-    assert set(_RESULTS) == {"reader_throughput", "group_commit",
-                             "write_cost_scaling"}, \
+    assert set(_RESULTS) == {"reader_throughput", "write_cost_scaling"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_concurrency.json")
                  if _SMOKE else _JSON_PATH)
@@ -299,8 +217,6 @@ def test_writes_trajectory_json(benchmark, tmp_path):
             "base_triples": BASE_TRIPLES,
             "reader_threads": NUM_READERS,
             "reader_ops_each": READER_OPS,
-            "committer_threads": NUM_COMMITTERS,
-            "commits_each": COMMITS_EACH,
             "scraps_small": SMALL_PAD,
             "scraps_large": LARGE_PAD,
             "renames_each": RENAMES,

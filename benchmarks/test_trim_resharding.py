@@ -190,7 +190,7 @@ def test_reshard_under_load(benchmark, tmp_path):
     directory = str(tmp_path / "reshard-load")
     store = ShardedTripleStore(1, concurrent=True)
     durability = ShardedDurability(store, directory,
-                                   compact_every=10 ** 6, sync="inline")
+                                   compact_every=10 ** 6)
     subjects = [Resource(f"slim:z{i}") for i in range(LOAD_SUBJECTS)]
     for i in range(LOAD_SEED_TRIPLES):
         store.add(triple(subjects[i % LOAD_SUBJECTS], "slim:seed", i))

@@ -48,9 +48,7 @@ class CaptureTap:
     """Records one durable TRIM session's ops, commits, and crash point.
 
     The session must already be durable (the replayer's contract is
-    *recovered* state) and must use ``sync='inline'`` — background
-    flushers commit at wall-clock-dependent moments no bundle could
-    reproduce.
+    *recovered* state).
     """
 
     def __init__(self, trim: TrimManager,
@@ -60,10 +58,6 @@ class CaptureTap:
         if durability is None:
             raise ReplayError("capture requires a durable TrimManager "
                               "(the replay contract is recovered state)")
-        if durability.sync != "inline":
-            raise ReplayError(
-                f"capture requires sync='inline', not {durability.sync!r} — "
-                f"background flushers are not deterministically replayable")
         self._trim = trim
         self._seeds = dict(seeds or {})
         self._meta = dict(meta or {})

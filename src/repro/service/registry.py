@@ -39,7 +39,7 @@ Admission control is a bounded inflight count per tenant: past the
 high-water mark, :meth:`TenantHandle.submit` raises
 :class:`~repro.errors.BackpressureError`, which the server maps onto a
 ``RETRY_AFTER`` error frame instead of queueing unboundedly when the
-flusher or 2PC pool falls behind.
+writer thread's fsyncs or 2PC fan-out fall behind.
 """
 
 from __future__ import annotations

@@ -80,20 +80,17 @@ class SlimPadApplication:
         self._pad = self.dmi.load(file_name)
         return self._pad
 
-    def enable_durability(self, directory: str, compact_every: int = 64,
-                          sync: str = "inline"):
+    def enable_durability(self, directory: str, compact_every: int = 64):
         """Crash-safe persistence for this pad's triples (WAL + snapshots).
 
         Call before building the pad (the store must be empty when
         *directory* holds previous state); prior state is recovered and
         every subsequent pad edit is logged.  Returns the
         :class:`~repro.triples.wal.Durability` handle.  Pair with
-        :meth:`commit` at user-operation boundaries.  ``sync='group'`` or
-        ``'async'`` batches commit fsyncs on a background flusher (see
-        :class:`~repro.triples.wal.Durability`).
+        :meth:`commit` at user-operation boundaries.
         """
         return self.dmi.runtime.trim.enable_durability(
-            directory, compact_every=compact_every, sync=sync)
+            directory, compact_every=compact_every)
 
     def commit(self) -> bool:
         """Close a durable group boundary; no-op when durability is off."""
@@ -112,16 +109,15 @@ class SlimPadApplication:
         :meth:`repro.triples.trim.TrimManager.cache_stats`)."""
         return self.dmi.runtime.trim.cache_stats()
 
-    def open_durable(self, directory: str, compact_every: int = 64,
-                     sync: str = "inline") -> EntityObject:
+    def open_durable(self, directory: str,
+                     compact_every: int = 64) -> EntityObject:
         """Recover a durably-persisted pad and make it current.
 
         The durable directory's snapshot + WAL tail are replayed into the
         store (see :func:`repro.triples.wal.recover`); the first recovered
         pad becomes current, and further edits keep being logged.
         """
-        self.enable_durability(directory, compact_every=compact_every,
-                               sync=sync)
+        self.enable_durability(directory, compact_every=compact_every)
         pads = self.dmi.All_SlimPad()
         if not pads:
             raise SlimPadError(f"{directory!r} holds no durable SlimPad")

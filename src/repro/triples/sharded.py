@@ -108,8 +108,8 @@ from repro.triples.persistence import _atomic_write
 from repro.triples.store import AtomicListener, ChangeListener, TripleStore
 from repro.triples.triple import Literal, Node, Resource, Triple
 from repro.triples.wal import (WAL_FILE, Durability, PrepareInfo,
-                               RecoveryResult, _frame, _GroupCommitFlusher,
-                               encode_commit, recover, scan_wal)
+                               RecoveryResult, _frame, encode_commit,
+                               recover, scan_wal)
 
 META_FILE = "meta.wal"
 META_MAGIC = b"SLIMMETA"
@@ -1755,34 +1755,26 @@ class ShardedDurability:
     subject, so independent writers on different shards overlap their
     fsyncs instead of serializing on one log.
 
-    *sync* and *commit_every* carry the
-    :class:`~repro.triples.wal.Durability` semantics to the coordinator:
-    ``'group'``/``'async'`` run commits on a background flusher shared
-    by all committers, and *commit_every* auto-commits outside atomic
+    *commit_every* carries the :class:`~repro.triples.wal.Durability`
+    semantics to the coordinator: it auto-commits outside atomic
     scopes.  Compaction is per shard, at each shard's own cadence.
     """
-
-    _SYNC_MODES = ("inline", "group", "async")
 
     def __init__(self, store: ShardedTripleStore, directory: str,
                  namespaces: Optional[NamespaceRegistry] = None,
                  compact_every: int = 64, fsync: bool = True,
                  commit_every: Optional[int] = None,
-                 sync: str = "inline",
                  delta_ratio: float = 0.5) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         if commit_every is not None and commit_every < 1:
             raise ValueError("commit_every must be >= 1 or None")
-        if sync not in self._SYNC_MODES:
-            raise ValueError(f"sync must be one of {self._SYNC_MODES}")
         if delta_ratio < 0:
             raise ValueError("delta_ratio must be >= 0")
         self.directory = directory
         self.namespaces = namespaces
         self.compact_every = compact_every
         self.commit_every = commit_every
-        self.sync = sync
         self.delta_ratio = delta_ratio
         self._fsync = fsync
         self._store = store
@@ -1852,13 +1844,12 @@ class ShardedDurability:
         store._durability_attached = True
         self._meta_lock = threading.Lock()
         self._shard_locks = [threading.Lock() for _ in range(count)]
-        self._inline_commits = 0
+        self._commits = 0
         self._closed = False
         self._2pc_pool: Optional[ThreadPoolExecutor] = None
         self._2pc_pool_lock = threading.Lock()
         #: Whether attaching found (and completed) an interrupted reshard.
         self.resumed_migration = False
-        self._flusher: Optional[_GroupCommitFlusher] = None
         #: Test instrumentation: called as ``hook(stage, txn, index)`` at
         #: each 2PC protocol step; raising :class:`SimulatedCrash` kills
         #: the coordinator mid-protocol with no cleanup, like a real
@@ -1875,9 +1866,6 @@ class ShardedDurability:
                 self._drain_migration(batch_subjects=256)
                 self.resumed_migration = True
             self._meta.maybe_compact()
-            if sync != "inline":
-                self._flusher = _GroupCommitFlusher(self,
-                                                    ack=(sync == "group"))
         except BaseException:
             self._unsubscribe()
             self._unsubscribe_atomic()
@@ -1893,7 +1881,7 @@ class ShardedDurability:
 
         Each orchestrator recovers its own shard directory and logs that
         shard's changes; the coordinator owns all commit decisions, so
-        auto-grouping and background sync stay disabled per shard.
+        auto-grouping stays disabled per shard.
         Construction order does not matter (every shard touches only its
         own files), but the returned list is in shard-index order.  On
         any failure the orchestrators that did come up are closed before
@@ -1904,7 +1892,7 @@ class ShardedDurability:
                               namespaces=self.namespaces,
                               compact_every=self.compact_every,
                               fsync=self._fsync, commit_every=None,
-                              sync="inline", delta_ratio=self.delta_ratio)
+                              delta_ratio=self.delta_ratio)
 
         pairs = list(zip(store.shards, shard_dirs))
         pool = store._get_pool() if len(pairs) > 1 else None
@@ -1965,11 +1953,9 @@ class ShardedDurability:
 
     @property
     def commits_requested(self) -> int:
-        """Commit calls that reached a WAL (any sync mode)."""
-        flusher = self._flusher
-        coordinator = self._inline_commits + (flusher.requested
-                                              if flusher else 0)
-        return coordinator + sum(dur.commits_requested for dur in self._durs)
+        """Commit calls that reached a WAL (coordinator plus shards)."""
+        return self._commits + sum(dur.commits_requested
+                                   for dur in self._durs)
 
     @property
     def fsync_count(self) -> int:
@@ -1979,30 +1965,22 @@ class ShardedDurability:
 
     # -- committing -----------------------------------------------------------
 
-    def commit(self, wait: Optional[bool] = None) -> bool:
+    def commit(self) -> bool:
         """Close the current group; ``False`` when nothing changed.
 
         Groups whose changes live on one shard commit as that shard's
         ordinary WAL group.  Multi-shard groups run two-phase commit:
         prepare every participant, fsync the decision into the meta-WAL,
-        fence every participant.  *wait* follows
-        :meth:`Durability.commit` under ``sync='group'``/``'async'``.
+        fence every participant.
         """
         if self._closed:
             raise PersistenceError("sharded durability handle is closed")
-        if self._flusher is None:
-            changed = self._flush_group()
-            if changed:
-                with self._meta_lock:
-                    self._inline_commits += 1
-                self._maybe_compact()
-            return changed
-        if self.pending_changes == 0:
-            return False
-        if wait is None:
-            wait = self.sync == "group"
-        self._flusher.request(wait=wait)
-        return True
+        changed = self._flush_group()
+        if changed:
+            with self._meta_lock:
+                self._commits += 1
+            self._maybe_compact()
+        return changed
 
     def commit_for(self, subject: Resource) -> bool:
         """Durably commit only the shard owning *subject*.
@@ -2115,8 +2093,7 @@ class ShardedDurability:
                 self._durs.append(Durability(
                     store.shards[i], shard_dir, namespaces=self.namespaces,
                     compact_every=self.compact_every, fsync=self._fsync,
-                    commit_every=None, sync="inline",
-                    delta_ratio=self.delta_ratio))
+                    commit_every=None, delta_ratio=self.delta_ratio))
                 self._shard_locks.append(threading.Lock())
         # Retire the 2PC pool so the next one sizes to the new count.
         with self._2pc_pool_lock:
@@ -2200,9 +2177,8 @@ class ShardedDurability:
     def close(self) -> None:
         """Detach from the store and close every log (idempotent).
 
-        Safe to call from finalizers; a background flusher is drained
-        first and its stashed error (if any) re-raised after all
-        resources are released.
+        The first error any log raised while closing is re-raised after
+        every resource is released.
         """
         self._close(join=True)
 
@@ -2213,18 +2189,13 @@ class ShardedDurability:
         self._unsubscribe()
         self._unsubscribe_atomic()
         errors: List[BaseException] = []
-        if self._flusher is not None:
-            try:
-                self._flusher.close(join=join)
-            except BaseException as exc:
-                errors.append(exc)
         with self._2pc_pool_lock:
             pool, self._2pc_pool = self._2pc_pool, None
         if pool is not None:
             pool.shutdown(wait=join)
         for dur in self._durs:
             try:
-                dur._close(join=join)
+                dur.close()
             except BaseException as exc:
                 errors.append(exc)
         try:
@@ -2235,8 +2206,8 @@ class ShardedDurability:
             raise errors[0]
 
     def __del__(self) -> None:
-        # Never join threads from a finalizer (see TripleStore pool and
-        # _GroupCommitFlusher close docstrings for the GC deadlock).
+        # Never join threads from a finalizer (see the TripleStore pool
+        # docstring for the GC deadlock).
         try:
             self._close(join=False)
         except BaseException:
@@ -2253,12 +2224,8 @@ class ShardedDurability:
         2PC and must go through :func:`recover_sharded`.  This is the
         crash-simulation primitive behind the crash matrix in
         ``tests/test_sharding.py`` and the replay harness
-        (:mod:`repro.replay`).  Only valid under ``sync='inline'``.
+        (:mod:`repro.replay`).
         """
-        if self._flusher is not None:
-            raise PersistenceError(
-                "abandon() requires sync='inline' — a background flusher "
-                "cannot be killed deterministically")
         self._closed = True
         self._unsubscribe()
         self._unsubscribe_atomic()
@@ -2381,7 +2348,12 @@ class ShardedDurability:
 
     def _maybe_compact(self) -> None:
         """Per-shard compaction at each shard's own cadence; never blocks
-        on a busy shard (same contract as :meth:`Durability._maybe_compact`)."""
+        on a busy shard.
+
+        A shard's lock is held by a concurrent :meth:`commit_for` through
+        its fsync, or by a migration batch; a commit must not stall behind
+        another thread's work on that shard, so its compaction is simply
+        deferred to the next commit."""
         for lock, dur in zip(list(self._shard_locks), list(self._durs)):
             if not lock.acquire(blocking=False):
                 continue
@@ -2394,14 +2366,14 @@ class ShardedDurability:
         if self.commit_every is not None \
                 and not self._store.in_atomic \
                 and self.pending_changes >= self.commit_every:
-            self.commit(wait=False)
+            self.commit()
 
     def _on_atomic_end(self) -> None:
         if self._closed or self.commit_every is None:
             return
         if self.pending_changes >= self.commit_every \
                 and not self._store.in_atomic:
-            self.commit(wait=False)
+            self.commit()
 
 
 class ReshardJob:
@@ -2480,7 +2452,7 @@ def split_offline(directory: str, new_count: int,
         os.makedirs(dest, exist_ok=True)
         new_store = ShardedTripleStore(new_count, shard_map=target)
         dur = ShardedDurability(new_store, dest, namespaces=result.namespaces,
-                                commit_every=None, sync="inline")
+                                commit_every=None)
         try:
             with new_store.bulk():
                 for sequence, triple in result.store._merged_items():

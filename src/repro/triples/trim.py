@@ -102,8 +102,6 @@ class TrimManager:
     views) then run lock-free against the last-flushed snapshot and never
     force a mid-ingest index flush; each read iterates a snapshot of the
     index bucket it picks, so writers update buckets in place.
-    ``sync='group'``/``'async'`` moves commit fsyncs to a background
-    flusher shared by all committing threads.
 
     Pass ``shards=N`` (N > 1) to hash-partition the pool by subject
     across N store instances (:mod:`repro.triples.sharded`): ingest fans
@@ -117,7 +115,6 @@ class TrimManager:
                  durable: Optional[str] = None,
                  compact_every: int = 64,
                  commit_every: Optional[int] = None,
-                 sync: str = "inline",
                  concurrent: bool = False,
                  shards: int = 1,
                  cache: bool = True,
@@ -141,7 +138,7 @@ class TrimManager:
         self._views_lock = threading.Lock()
         if durable is not None:
             self.enable_durability(durable, compact_every=compact_every,
-                                   commit_every=commit_every, sync=sync,
+                                   commit_every=commit_every,
                                    delta_ratio=delta_ratio)
 
     # -- create / remove ------------------------------------------------------
@@ -368,17 +365,13 @@ class TrimManager:
     def enable_durability(self, directory: str, compact_every: int = 64,
                           fsync: bool = True,
                           commit_every: Optional[int] = None,
-                          sync: str = "inline",
                           delta_ratio: float = 0.5) -> Durability:
         """Attach crash-safe persistence rooted at *directory*.
 
         Recovers any existing snapshot + WAL state into the store (which
         must then be empty), then logs every mutation.  Recovered resource
         ids advance the id generator, like :meth:`load`.  *commit_every*
-        turns on auto-grouping and *sync* selects the commit path —
-        ``'inline'`` fsyncs on the caller's thread, ``'group'``/``'async'``
-        batch fsyncs on a background flusher (see
-        :class:`~repro.triples.wal.Durability`).
+        turns on auto-grouping (see :class:`~repro.triples.wal.Durability`).
         Idempotent: returns the existing handle when already enabled.
 
         A sharded TRIM gets a :class:`ShardedDurability`: one WAL
@@ -393,7 +386,6 @@ class TrimManager:
                                                  compact_every=compact_every,
                                                  fsync=fsync,
                                                  commit_every=commit_every,
-                                                 sync=sync,
                                                  delta_ratio=delta_ratio)
         else:
             self._durability = Durability(self.store, directory,
@@ -401,7 +393,6 @@ class TrimManager:
                                           compact_every=compact_every,
                                           fsync=fsync,
                                           commit_every=commit_every,
-                                          sync=sync,
                                           delta_ratio=delta_ratio)
         for resource in self.store.resources():
             self.ids.observe(resource.uri)
@@ -501,17 +492,16 @@ class TrimManager:
 
         Idempotent and safe from ``__del__``-time teardown: repeated
         calls, and calls racing interpreter shutdown, are no-ops.
-        ``wait=False`` skips joining flusher/pool threads — finalizers
-        must use it (see the :class:`ShardedTripleStore` pool docstring
-        for the GC ``_shutdown_locks_lock`` deadlock a finalizer-time
-        join can hit).
+        ``wait=False`` skips joining the sharded store's pool threads —
+        finalizers must use it (see the :class:`ShardedTripleStore` pool
+        docstring for the GC ``_shutdown_locks_lock`` deadlock a
+        finalizer-time join can hit).
         """
         durability, self._durability = self._durability, None
-        if durability is not None:
-            if wait:
-                durability.close()
-            else:
-                durability._close(join=False)
+        if isinstance(durability, ShardedDurability):
+            durability._close(join=wait)
+        elif durability is not None:
+            durability.close()
         store = self.store
         if isinstance(store, ShardedTripleStore):
             store.close(wait=wait)

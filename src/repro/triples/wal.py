@@ -50,7 +50,7 @@ double-apply changes.
 
 Compaction comes in two grades.  A **full rewrite** folds the whole
 store into a fresh snapshot — cost proportional to store size, which
-would stall the group-commit flusher as the store grows.  The routine
+would stall whichever commit triggered it as the store grows.  The routine
 path is therefore **delta compaction**: the committed WAL groups are
 flattened into one fsynced segment appended to a side log
 (``deltas.slim``), and the WAL alone is truncated — cost proportional to
@@ -66,12 +66,11 @@ recovery reads.
 
 Concurrency (DESIGN.md §10): the log's buffer/offset state is guarded by
 an internal lock, so concurrent appenders and committers serialize
-correctly.  :class:`Durability` can additionally run a background
-*group-commit flusher* (``sync='group'`` or ``'async'``): committers
-enqueue a flush request and either wait for the batched fsync that
-covers them (durable ack) or return immediately; racing committers
-coalesce into far fewer fsyncs than commits.  Lock ordering across the
-stack is store lock -> Durability meta lock -> WAL lock, never reversed.
+correctly.  Every commit writes and fsyncs on the caller's thread;
+coalescing many writers into one fsync is the job of the caller that
+owns the write path (the service's per-tenant writer thread,
+:mod:`repro.service.registry`).  Lock ordering across the stack is
+store lock -> Durability meta lock -> WAL lock, never reversed.
 """
 
 from __future__ import annotations
@@ -492,9 +491,8 @@ class WriteAheadLog:
         """How many group-commit fsyncs this log has issued (0 when
         ``fsync=False``; housekeeping syncs on open/reset are not counted).
 
-        The concurrency benchmark reads this to show group-commit
-        coalescing: with racing committers, fsyncs stay well below the
-        number of commit requests.
+        The service's ``admin.stats`` reports it per tenant, beside the
+        writes its writer thread coalesced into each commit.
         """
         return self._sync_count
 
@@ -622,8 +620,8 @@ class WriteAheadLog:
         a crash before the boundary record hits disk discards the whole
         partial group.  With an *empty* buffer this is a no-op (no
         boundary record, no group bump, no fsync): there is nothing to
-        make durable, and the background flusher relies on being able to
-        call this unconditionally without burning a syscall per no-op.
+        make durable, so callers may commit unconditionally without
+        burning a syscall per no-op.
 
         On an I/O error nothing moves: the buffer, ``dirty`` count, and
         group counter keep their pre-commit values, the file is rewound
@@ -993,125 +991,6 @@ def recover(directory: str,
                           stage_seconds)
 
 
-# -- the group-commit flusher -------------------------------------------------
-
-class _GroupCommitFlusher:
-    """Daemon thread that batches WAL fsyncs across concurrent committers.
-
-    Committers call :meth:`request`; the thread wakes, runs one
-    ``Durability._flush_group()`` (one WAL write + fsync), and acks every
-    request that arrived before it started — so N committers racing on
-    the same window share a single fsync instead of paying N.  A ticket
-    scheme (monotonic ``requested``/``served`` counters under one
-    condition variable) decides which requests each flush covers: a
-    request with ticket T is durable once ``served >= T``, because the
-    flush that bumped ``served`` past T started after T's changes were
-    already appended to the WAL buffer.
-
-    With ``ack=True`` (Durability's ``sync='group'``), :meth:`request`
-    blocks until its ticket is served and re-raises the flush error that
-    covered its window, if any.  With ``ack=False`` (``sync='async'``)
-    it returns immediately; a failed background flush is stashed and
-    raised on the *next* request or on :meth:`close`, so errors surface
-    rather than vanish.
-
-    After a successful flush the thread runs compaction housekeeping
-    (``Durability._maybe_compact``) *outside* the condition variable and
-    after acking waiters — a committer holding the store lock while it
-    waits for its ack must never deadlock against a compaction that
-    needs that same lock.
-    """
-
-    def __init__(self, durability: "Durability", ack: bool) -> None:
-        self._durability = durability
-        self._ack = ack
-        self._cond = threading.Condition()
-        self._requested = 0
-        self._served = 0
-        #: (low, high, error): flushes that failed, covering tickets
-        #: low < t <= high.  Only populated in ack mode.
-        self._failures: List[Tuple[int, int, BaseException]] = []
-        self._async_error: Optional[BaseException] = None
-        self._closed = False
-        self._thread = threading.Thread(target=self._run,
-                                        name="slim-wal-flusher", daemon=True)
-        self._thread.start()
-
-    @property
-    def requested(self) -> int:
-        """How many commit requests have been enqueued so far."""
-        return self._requested
-
-    def request(self, wait: bool) -> None:
-        """Enqueue a flush; block for the covering fsync iff *wait*."""
-        with self._cond:
-            if self._closed:
-                raise PersistenceError("group-commit flusher is closed")
-            if self._async_error is not None:
-                error, self._async_error = self._async_error, None
-                raise error
-            self._requested += 1
-            ticket = self._requested
-            self._cond.notify_all()
-            if not wait:
-                return
-            while self._served < ticket:
-                self._cond.wait()
-            for low, high, error in self._failures:
-                if low < ticket <= high:
-                    raise error
-
-    def close(self, join: bool = True) -> None:
-        """Drain outstanding requests, stop the thread, surface errors.
-
-        ``join=False`` skips waiting for the (daemon) thread and is what
-        finalizers must use: a join inside ``__del__`` can deadlock when
-        garbage collection fires on a thread that is mid-bootstrap and
-        already holds CPython's ``_shutdown_locks_lock`` — which
-        ``Thread._stop`` (reached via ``join``) then tries to re-acquire.
-        """
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        if not join:
-            return
-        self._thread.join()
-        if self._async_error is not None:
-            error, self._async_error = self._async_error, None
-            raise error
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while self._requested == self._served and not self._closed:
-                    self._cond.wait()
-                if self._requested == self._served:
-                    return  # closed and drained
-                low = self._served
-                take = self._requested
-            error: Optional[BaseException] = None
-            try:
-                self._durability._flush_group()
-            except BaseException as exc:
-                error = exc
-            with self._cond:
-                self._served = take
-                if error is not None:
-                    if self._ack:
-                        self._failures.append((low, take, error))
-                    else:
-                        self._async_error = error
-                self._cond.notify_all()
-            if error is None:
-                try:
-                    self._durability._maybe_compact()
-                except BaseException as exc:
-                    with self._cond:
-                        self._async_error = exc
-
-
 # -- the durability orchestrator ---------------------------------------------
 
 class Durability:
@@ -1146,48 +1025,32 @@ class Durability:
     user-level operation.  Explicit :meth:`commit` calls still work and
     reset the running count.
 
-    *sync* selects the commit path:
-
-    - ``'inline'`` (default): :meth:`commit` writes and fsyncs on the
-      caller's thread, exactly as before.
-    - ``'group'``: a background flusher thread batches fsyncs across
-      concurrent committers; :meth:`commit` enqueues and *waits* for the
-      batched fsync that covers its changes (durable ack).  N racing
-      committers share one fsync per batching window.
-    - ``'async'``: same flusher, but :meth:`commit` returns immediately
-      after enqueuing — durability is eventual (the fsync lands moments
-      later); a background flush failure is raised on the next commit or
-      on :meth:`close`.
+    :meth:`commit` writes and fsyncs on the caller's thread, so a commit
+    that returns is durable.
     """
-
-    _SYNC_MODES = ("inline", "group", "async")
 
     def __init__(self, store: TripleStore, directory: str,
                  namespaces: Optional[NamespaceRegistry] = None,
                  compact_every: int = 64, fsync: bool = True,
                  commit_every: Optional[int] = None,
-                 sync: str = "inline",
                  delta_ratio: float = 0.5) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         if commit_every is not None and commit_every < 1:
             raise ValueError("commit_every must be >= 1 or None")
-        if sync not in self._SYNC_MODES:
-            raise ValueError(f"sync must be one of {self._SYNC_MODES}")
         if delta_ratio < 0:
             raise ValueError("delta_ratio must be >= 0")
         self.directory = directory
         self.namespaces = namespaces
         self.compact_every = compact_every
         self.commit_every = commit_every
-        self.sync = sync
         self.delta_ratio = delta_ratio
         self._store = store
         # Guards the commit/compaction metadata (_groups_since_snapshot)
         # and serializes flush-vs-compact decisions.  Lock order:
         # store lock -> this meta lock -> WAL lock, never reversed.
         self._meta_lock = threading.Lock()
-        self._inline_commits = 0
+        self._commits = 0
         os.makedirs(directory, exist_ok=True)
         self._snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
         wal_path = os.path.join(directory, WAL_FILE)
@@ -1217,7 +1080,6 @@ class Durability:
         self._groups_since_snapshot = (self.recovered.groups_replayed
                                        if self.recovered is not None else 0)
         self._closed = False
-        self._flusher: Optional[_GroupCommitFlusher] = None
         self._unsubscribe = store.add_listener(self._on_change)
         add_atomic = getattr(store, "add_atomic_listener", None)
         self._unsubscribe_atomic = (add_atomic(self._on_atomic_end)
@@ -1226,9 +1088,6 @@ class Durability:
         try:
             if not had_state and len(store):
                 self.compact()
-            if sync != "inline":
-                self._flusher = _GroupCommitFlusher(self,
-                                                    ack=(sync == "group"))
         except BaseException:
             # Construction failed after the listeners attached: detach
             # them so later store mutations don't feed a half-built,
@@ -1272,12 +1131,9 @@ class Durability:
 
     @property
     def commits_requested(self) -> int:
-        """How many :meth:`commit` calls reached the WAL (any sync mode).
-
-        Compare with :attr:`fsync_count` to see group-commit coalescing.
-        """
-        flusher = self._flusher
-        return self._inline_commits + (flusher.requested if flusher else 0)
+        """How many :meth:`commit` calls reached the WAL (found changes
+        to make durable)."""
+        return self._commits
 
     @property
     def fsync_count(self) -> int:
@@ -1294,34 +1150,21 @@ class Durability:
         handle."""
         return 1
 
-    def commit(self, wait: Optional[bool] = None) -> bool:
+    def commit(self) -> bool:
         """Close the current group; ``False`` when nothing changed.
 
         Makes every change since the previous commit durable as one
-        atomic group; triggers compaction after ``compact_every`` groups.
-        In ``sync='inline'`` mode the WAL write + fsync run on this
-        thread.  With the background flusher (``'group'``/``'async'``)
-        the commit is enqueued; *wait* overrides the mode's ack default
-        (wait for the covering fsync vs return immediately).
+        atomic group (one WAL write + fsync on this thread); triggers
+        compaction after ``compact_every`` groups.
         """
         if self._closed:
             raise PersistenceError("durability handle is closed")
-        if self._flusher is None:
-            changed = self._flush_group()
-            if changed:
-                with self._meta_lock:
-                    self._inline_commits += 1
-                self._maybe_compact()
-            return changed
-        if self._wal.dirty == 0:
-            # Everything already covered by a served or in-flight flush
-            # (appends and commits serialize on the WAL lock, so a zero
-            # dirty count means this thread's changes are durable).
-            return False
-        if wait is None:
-            wait = self.sync == "group"
-        self._flusher.request(wait=wait)
-        return True
+        changed = self._flush_group()
+        if changed:
+            with self._meta_lock:
+                self._commits += 1
+            self._maybe_compact()
+        return changed
 
     def compact(self) -> None:
         """Full rewrite: fold everything into a fresh atomic snapshot,
@@ -1396,35 +1239,21 @@ class Durability:
     def close(self) -> None:
         """Detach from the store and close the log (idempotent).
 
-        With a background flusher, outstanding commit requests are
-        drained (flushed and fsynced) first, and any stashed background
-        flush error is raised here.  Uncommitted changes remain in the
-        WAL file but are not fsynced and, lacking a boundary record,
-        will be discarded by recovery — commit first if they should
-        survive.
+        Uncommitted changes remain in the WAL file but are not fsynced
+        and, lacking a boundary record, will be discarded by recovery —
+        commit first if they should survive.
         """
-        self._close(join=True)
-
-    def _close(self, join: bool) -> None:
         if self._closed:
             return
         self._closed = True
         self._unsubscribe()
         self._unsubscribe_atomic()
-        try:
-            if self._flusher is not None:
-                self._flusher.close(join=join)
-        finally:
-            self._wal.close()
-            self._deltas.close()
+        self._wal.close()
+        self._deltas.close()
 
     def __del__(self) -> None:
-        # Best-effort teardown that must never raise and never block:
-        # joining the flusher thread from a finalizer can deadlock (see
-        # _GroupCommitFlusher.close), so the join is skipped — explicit
-        # close() remains the way to observe stashed flusher errors.
         try:
-            self._close(join=False)
+            self.close()
         except BaseException:
             pass
 
@@ -1436,14 +1265,8 @@ class Durability:
         WAL's in-memory buffer is dropped and the file handle released
         exactly where the last durable write left it, so the directory
         looks like a hard kill and must go through :func:`recover`.
-        Only meaningful under ``sync='inline'`` (a background flusher
-        is its own thread; "crashing" it cleanly is a contradiction).
         Idempotent.
         """
-        if self._flusher is not None:
-            raise PersistenceError(
-                "abandon() requires sync='inline' — a background flusher "
-                "cannot be killed deterministically")
         self._closed = True
         self._unsubscribe()
         self._unsubscribe_atomic()
@@ -1460,8 +1283,8 @@ class Durability:
 
     def _flush_group(self) -> bool:
         """One WAL group commit (write + fsync); ``True`` if anything
-        was dirty.  Takes the meta lock so a flusher-thread flush and a
-        user-thread :meth:`compact` never interleave their dirty-check /
+        was dirty.  Takes the meta lock so a commit on one thread and a
+        :meth:`compact` on another never interleave their dirty-check /
         commit / counter-bump steps.
         """
         with self._meta_lock:
@@ -1474,14 +1297,14 @@ class Durability:
     def _maybe_compact(self) -> None:
         """Compact when due — without ever *blocking* on the store lock.
 
-        The flusher thread must not block here: a committer may hold the
-        store lock while waiting for its durable ack (auto-commits fire
-        inside listener fan-out, under the store lock), so a blocking
-        acquire could deadlock.  When the store is busy the compaction
-        is simply deferred to the next flush.
+        A commit must not stall behind another thread's atomic scope: a
+        bulk ingest or ``Batch`` holds the store lock for its whole
+        duration, and a committer waiting on it would turn one fsync
+        into a wait for someone else's ingest.  When the store is busy
+        the full rewrite is simply deferred to the next commit.
 
         Routine housekeeping is a delta compaction — O(changes since the
-        last compact) and needing no store lock at all, so the flusher
+        last compact) and needing no store lock at all, so a commit
         never stalls on store size.  A full snapshot rewrite happens only
         once the delta log outgrows ``delta_ratio`` × the snapshot (or
         the fixed floor when no snapshot exists yet).
@@ -1524,10 +1347,7 @@ class Durability:
         if self.commit_every is not None \
                 and self._wal.dirty >= self.commit_every \
                 and not getattr(self._store, "in_atomic", False):
-            # Auto-commits never wait for the ack: this runs inside
-            # listener fan-out (under the store lock), and blocking there
-            # would stall every other store user on the fsync.
-            self.commit(wait=False)
+            self.commit()
 
     def _on_atomic_end(self) -> None:
         """Deferred auto-commit: fires when a Batch/bulk scope closes.
@@ -1540,4 +1360,4 @@ class Durability:
             return
         if self._wal.dirty >= self.commit_every \
                 and not getattr(self._store, "in_atomic", False):
-            self.commit(wait=False)
+            self.commit()

@@ -1,13 +1,14 @@
-"""Concurrent reads during ingest, the group-commit flusher, and the
+"""Concurrent reads during ingest, racing durable committers, and the
 durability edge cases that ride along.
 
-The tentpole contract: reader threads querying a store mid-``bulk``
+The central contract: reader threads querying a store mid-``bulk``
 see the *last-flushed snapshot* — consistent membership, indexes, and
 generation — and never force the ingest's deferred index flush
-(``_flush_bulk`` runs only on the bulk-owner thread).  On top of that,
-``Durability(sync='group'|'async')`` moves commit fsyncs to a background
-flusher that coalesces racing committers into shared fsyncs, with
-durable-ack (``group``) or fire-and-forget (``async``) semantics.
+(``_flush_bulk`` runs only on the bulk-owner thread).  Durable commits
+racing from several threads each write and fsync on the caller's
+thread, so a commit that returned is in the WAL
+(:class:`TestConcurrentCommitters`); coalescing many writers into one
+fsync is the service writer thread's job (``tests/test_service.py``).
 
 Regression coverage for the three durability edge cases shipped with
 this change lives in :class:`TestDurabilityEdgeCases`:
@@ -29,7 +30,7 @@ import time
 
 import pytest
 
-from repro.errors import PersistenceError, TransactionError
+from repro.errors import TransactionError
 from repro.triples import persistence
 from repro.triples.interned import InternedTripleStore
 from repro.triples.query import Pattern, Query, Var
@@ -467,119 +468,17 @@ class TestCachedHashes:
         assert len(set(restored) | set(built)) == len(rows)
 
 
-class TestGroupCommitFlusher:
-    """sync='group'/'async': batched fsyncs with durable-ack semantics."""
+class TestConcurrentCommitters:
+    """Durable commits from several threads on a ``concurrent`` store."""
 
-    def _durable_store(self, tmp_path, sync, **kwargs):
-        store = TripleStore(concurrent=True)
-        durability = Durability(store, str(tmp_path), sync=sync, **kwargs)
-        return store, durability
-
-    def test_invalid_sync_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            Durability(TripleStore(), str(tmp_path), sync="bogus")
-
-    def test_group_mode_round_trip(self, tmp_path):
-        store, durability = self._durable_store(tmp_path, "group")
-        store.add(triple("s", "p", 1))
-        assert durability.commit() is True
-        assert durability.commit() is False  # already durable
-        durability.close()
-        recovered = TripleStore()
-        assert recover(str(tmp_path), recovered).last_group == 1
-        assert recovered.select() == [triple("s", "p", 1)]
-
-    def test_async_mode_drains_on_close(self, tmp_path):
-        store, durability = self._durable_store(tmp_path, "async")
-        for i in range(5):
-            store.add(triple(f"s{i}", "p", i))
-            durability.commit()
-        durability.close()  # drains every outstanding flush
-        recovered = TripleStore()
-        recover(str(tmp_path), recovered)
-        assert len(recovered) == 5
-
-    def test_flusher_coalesces_commits_into_one_group(self, tmp_path):
-        """Four commits gated behind one blocked flush land as ONE group."""
-        store, durability = self._durable_store(tmp_path, "async")
-        gate = threading.Event()
-        real_commit = durability._wal.commit
-
-        def gated_commit():
-            assert gate.wait(timeout=10)
-            return real_commit()
-
-        durability._wal.commit = gated_commit
-        group_before = durability.group
-        syncs_before = durability.fsync_count
-        for i in range(4):
-            store.add(triple(f"s{i}", "p", i))
-            durability.commit()
-        gate.set()
-        flusher = durability._flusher
-        deadline = time.monotonic() + 10
-        while flusher._served < flusher.requested:
-            assert time.monotonic() < deadline, "flusher did not drain"
-            time.sleep(0.001)
-        durability._wal.commit = real_commit
-        assert durability.commits_requested == 4
-        # One WAL group, one fsync, covering all four commits: the
-        # later flush passes found a clean buffer and did nothing.
-        assert durability.group == group_before + 1
-        assert durability.fsync_count == syncs_before + 1
-        durability.close()
-        recovered = TripleStore()
-        recover(str(tmp_path), recovered)
-        assert len(recovered) == 4
-
-    def test_racing_committers_share_fsyncs(self, tmp_path):
-        """4 threads x 5 durable-ack commits coalesce below 20 groups."""
-        store, durability = self._durable_store(tmp_path, "group",
-                                                compact_every=10_000)
-        real_commit = durability._wal.commit
-
-        def slow_commit():
-            time.sleep(0.005)  # widen the batching window
-            return real_commit()
-
-        durability._wal.commit = slow_commit
-        group_before = durability.group
-        errors = []
-
-        def committer(worker):
-            try:
-                for i in range(5):
-                    store.add(triple(f"w{worker}", "p", i))
-                    durability.commit()  # durable ack
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=committer, args=(w,))
-                   for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        durability._wal.commit = real_commit
-        assert not errors, errors[0]
-        groups = durability.group - group_before
-        assert durability.commits_requested == 20
-        assert groups < 20, "no coalescing happened"
-        assert groups >= 1
-        durability.close()
-        recovered = TripleStore()
-        recover(str(tmp_path), recovered)
-        assert len(recovered) == 20  # every acked commit is durable
-
-    def test_group_mode_ack_is_durable_at_kill_point(self, tmp_path):
+    def test_racing_committers_ack_is_durable_at_kill_point(self, tmp_path):
         """Copy the WAL mid-race: acked commits are in the copy."""
         wal_dir = tmp_path / "live"
-        store, durability = self._durable_store(wal_dir, "group",
-                                                compact_every=10_000)
+        store = TripleStore(concurrent=True)
+        durability = Durability(store, str(wal_dir), compact_every=10_000)
         acked = set()
         acked_lock = threading.Lock()
         errors = []
-        done = threading.Event()
 
         def committer(worker):
             try:
@@ -597,18 +496,20 @@ class TestGroupCommitFlusher:
         for t in threads:
             t.start()
         # "Kill": snapshot the durable file while commits race.
+        deadline = time.monotonic() + 30
         while True:
             with acked_lock:
                 acked_at_copy = set(acked)
             if len(acked_at_copy) >= 4:
                 break
+            assert time.monotonic() < deadline, "no commit was acked"
             time.sleep(0.001)
         kill_dir = tmp_path / "killed"
         os.makedirs(kill_dir)
         shutil.copy(wal_dir / WAL_FILE, kill_dir / WAL_FILE)
         for t in threads:
             t.join(timeout=60)
-        done.set()
+        assert not any(t.is_alive() for t in threads), "committer hung"
         assert not errors, errors[0]
         durability.close()
         recovered = TripleStore()
@@ -620,68 +521,8 @@ class TestGroupCommitFlusher:
         # the copy; nothing outside the real write set ever appears.
         assert acked_at_copy <= survivors <= everything
 
-    def test_group_mode_flush_failure_reaches_the_waiter(self, tmp_path):
-        store, durability = self._durable_store(tmp_path, "group")
-        real_commit = durability._wal.commit
-
-        def broken_commit():
-            raise OSError("disk full")
-
-        durability._wal.commit = broken_commit
-        store.add(triple("s", "p", 1))
-        with pytest.raises(OSError, match="disk full"):
-            durability.commit()
-        # Retryable: restore the device and the same changes commit.
-        durability._wal.commit = real_commit
-        assert durability.commit() is True
-        durability.close()
-        recovered = TripleStore()
-        recover(str(tmp_path), recovered)
-        assert len(recovered) == 1
-
-    def test_async_flush_failure_surfaces_on_next_commit(self, tmp_path):
-        store, durability = self._durable_store(tmp_path, "async")
-        real_commit = durability._wal.commit
-
-        def broken_commit():
-            raise OSError("disk full")
-
-        durability._wal.commit = broken_commit
-        store.add(triple("s", "p", 1))
-        durability.commit()  # enqueues; failure lands in the background
-        flusher = durability._flusher
-        deadline = time.monotonic() + 10
-        while flusher._async_error is None:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        durability._wal.commit = real_commit
-        store.add(triple("s", "p", 2))
-        with pytest.raises(OSError, match="disk full"):
-            durability.commit()
-        durability.close()
-
-    def test_flusher_compacts_in_background(self, tmp_path):
-        store, durability = self._durable_store(tmp_path, "group",
-                                                compact_every=2)
-        for i in range(6):
-            store.add(triple(f"s{i}", "p", i))
-            durability.commit()
-        deadline = time.monotonic() + 10
-        while durability.groups_since_snapshot >= 2:
-            assert time.monotonic() < deadline, "compaction never ran"
-            time.sleep(0.001)
-        durability.close()
-        recovered = TripleStore()
-        result = recover(str(tmp_path), recovered)
-        # Routine background compaction folds groups into the delta log.
-        assert result.covered_group >= 2
-        assert result.delta_segments >= 1
-        assert len(recovered) == 6
-
-    def test_trim_facade_passes_sync_through(self, tmp_path):
-        trim = TrimManager(durable=str(tmp_path), sync="group",
-                           concurrent=True)
-        assert trim.durability.sync == "group"
+    def test_durable_concurrent_trim_round_trip(self, tmp_path):
+        trim = TrimManager(durable=str(tmp_path), concurrent=True)
         assert trim.store.concurrent is True
         scrap = trim.new_resource("scrap")
         trim.create(scrap, "slim:scrapName", "first")

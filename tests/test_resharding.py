@@ -202,7 +202,7 @@ class TestInMemoryReshard:
 
     def test_durable_store_refuses_memory_reshard(self, tmp_path):
         store = ShardedTripleStore(2)
-        dur = ShardedDurability(store, str(tmp_path), sync="inline")
+        dur = ShardedDurability(store, str(tmp_path))
         try:
             with pytest.raises(TransactionError):
                 store.reshard(4)
@@ -225,7 +225,7 @@ class TestDurableReshard:
     def test_grow_1_to_4_and_reopen(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         expected = fill(store, 500)
         dur.commit()
         job = dur.reshard(4)
@@ -238,7 +238,7 @@ class TestDurableReshard:
         assert contents(result.store) == expected
         result.store.close()
         reopened = ShardedTripleStore(4)
-        redur = ShardedDurability(reopened, d, sync="inline")
+        redur = ShardedDurability(reopened, d)
         assert redur.map_version == 2 and not redur.resumed_migration
         assert contents(reopened) == expected
         redur.close(), reopened.close()
@@ -246,7 +246,7 @@ class TestDurableReshard:
     def test_reshard_under_live_writer_matches_reference(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, commit_every=50, sync="inline")
+        dur = ShardedDurability(store, d, commit_every=50)
         fill(store, 1000, subjects=97)
         dur.commit()
         reference = TripleStore()
@@ -292,7 +292,7 @@ class TestDurableReshard:
 
     def test_background_reshard_job(self, tmp_path):
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, str(tmp_path / "pad"), sync="inline")
+        dur = ShardedDurability(store, str(tmp_path / "pad"))
         expected = fill(store, 300)
         dur.commit()
         job = dur.reshard(2, wait=False)
@@ -303,21 +303,21 @@ class TestDurableReshard:
 
     def test_same_count_is_a_done_noop(self, tmp_path):
         store = ShardedTripleStore(2)
-        dur = ShardedDurability(store, str(tmp_path / "pad"), sync="inline")
+        dur = ShardedDurability(store, str(tmp_path / "pad"))
         job = dur.reshard(2)
         assert job.done and dur.map_version == 1
         dur.close(), store.close()
 
     def test_shrink_points_at_offline_split(self, tmp_path):
         store = ShardedTripleStore(4)
-        dur = ShardedDurability(store, str(tmp_path / "pad"), sync="inline")
+        dur = ShardedDurability(store, str(tmp_path / "pad"))
         with pytest.raises(PersistenceError, match="shards split"):
             dur.reshard(2)
         dur.close(), store.close()
 
     def test_concurrent_reshard_refused(self, tmp_path):
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, str(tmp_path / "pad"), sync="inline")
+        dur = ShardedDurability(store, str(tmp_path / "pad"))
         fill(store, 300, subjects=41)
         dur.commit()
         # Stall the drain by parking the donor's store lock, then try to
@@ -333,11 +333,11 @@ class TestDurableReshard:
     def test_mismatch_error_names_both_counts_and_remedies(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(4)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         dur.close(), store.close()
         wrong = ShardedTripleStore(2)
         with pytest.raises(PersistenceError) as err:
-            ShardedDurability(wrong, d, sync="inline")
+            ShardedDurability(wrong, d)
         message = str(err.value)
         assert "4 shard(s)" in message
         assert "shard_count=2" in message
@@ -347,7 +347,7 @@ class TestDurableReshard:
     def test_map_survives_meta_compaction(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, compact_every=1, sync="inline")
+        dur = ShardedDurability(store, d, compact_every=1)
         expected = fill(store, 200)
         dur.commit()
         dur.reshard(4)
@@ -373,7 +373,7 @@ class TestMigrationCrashMatrix:
                                                         tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         expected = fill(store, 300, subjects=41)
         dur.commit()
         fired = []
@@ -396,7 +396,7 @@ class TestMigrationCrashMatrix:
         result.store.close()
         # Reopening at the target count resumes and finishes the drain.
         reopened = ShardedTripleStore(4)
-        redur = ShardedDurability(reopened, d, sync="inline")
+        redur = ShardedDurability(reopened, d)
         assert redur.map_version == 2
         assert not reopened.migration_active
         assert redur.resumed_migration == (stage != "reshard-installed")
@@ -407,7 +407,7 @@ class TestMigrationCrashMatrix:
             self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         fill(store, 100, subjects=13)
         dur.commit()
         dur.crash_hook = lambda s, t, i=None: (_ for _ in ()).throw(
@@ -420,7 +420,7 @@ class TestMigrationCrashMatrix:
         # the old count must fail closed with the migration called out.
         stale = ShardedTripleStore(1)
         with pytest.raises(PersistenceError, match="shard"):
-            ShardedDurability(stale, d, sync="inline")
+            ShardedDurability(stale, d)
         stale.close()
 
 
@@ -432,7 +432,7 @@ class TestOfflineSplit:
     def test_shrink_round_trip_preserves_sequences(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(4)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         expected = fill(store, 400)
         dur.commit()
         order = list(store)
@@ -450,7 +450,7 @@ class TestOfflineSplit:
     def test_split_to_out_directory(self, tmp_path):
         d, out = str(tmp_path / "pad"), str(tmp_path / "wider")
         store = ShardedTripleStore(2)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         expected = fill(store, 200)
         dur.commit(), dur.close(), store.close()
         split_offline(d, 8, out=out)
@@ -466,7 +466,7 @@ class TestOfflineSplit:
     def test_split_refuses_open_migration(self, tmp_path):
         d = str(tmp_path / "pad")
         store = ShardedTripleStore(1)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         fill(store, 100, subjects=13)
         dur.commit()
         dur.crash_hook = lambda s, t, i=None: (_ for _ in ()).throw(
@@ -487,7 +487,7 @@ class TestPassthroughs:
     def test_trim_reshard_and_map_version(self, tmp_path):
         trim = TrimManager(shards=2)
         assert trim.map_version == 1
-        trim.enable_durability(str(tmp_path / "pad"), sync="inline")
+        trim.enable_durability(str(tmp_path / "pad"))
         subject = trim.new_resource("scrap")
         trim.create(subject, Resource("slim:p"), Literal("x"))
         trim.commit()
@@ -527,8 +527,7 @@ class TestReplayMapVersion:
 
     def test_capture_stamps_map_version(self, tmp_path):
         trim = TrimManager(shards=2)
-        trim.enable_durability(str(tmp_path / "pad"), fsync=False,
-                               sync="inline")
+        trim.enable_durability(str(tmp_path / "pad"), fsync=False)
         tap = CaptureTap(trim)
         assert tap.config["map_version"] == 1
         bundle = tap.finish()
@@ -552,7 +551,7 @@ class TestReplayMapVersion:
 class TestShardsCli:
     def _make_pad(self, d):
         store = ShardedTripleStore(2)
-        dur = ShardedDurability(store, d, sync="inline")
+        dur = ShardedDurability(store, d)
         expected = fill(store, 120, subjects=13)
         dur.commit(), dur.close(), store.close()
         return expected

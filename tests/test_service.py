@@ -283,6 +283,42 @@ class TestPadRegistry:
         assert triple("s", "p", 1) in list(trim.store)
         trim.close()
 
+    def test_writer_coalesces_queued_writes_into_one_commit(self, tmp_path):
+        """Writes queued behind a busy writer land as ONE commit + fsync."""
+        registry = PadRegistry(str(tmp_path))
+        handle = registry.acquire("t")
+        before = handle.stats()
+        started, gate = threading.Event(), threading.Event()
+
+        def blocked_write():
+            started.set()
+            assert gate.wait(5)
+            return handle.trim.create("s0", "p", 0)
+
+        items = [handle.submit(blocked_write)]
+        assert started.wait(5)  # the writer is inside batch one
+        items += [handle.submit(
+            lambda h=handle, i=i: h.trim.create(f"s{i}", "p", i))
+            for i in range(1, 21)]
+        gate.set()
+        for item in items:
+            item.wait(5)
+        after = handle.stats()
+        batches = after["write_batches"] - before["write_batches"]
+        assert after["writes"] - before["writes"] == 21
+        assert batches == 2
+        assert (after["commits_requested"]
+                - before["commits_requested"]) == batches
+        assert after["fsync_count"] - before["fsync_count"] == batches
+        registry.release(handle)
+        registry.close_all()
+        reopened = PadRegistry(str(tmp_path))
+        handle = reopened.acquire("t")
+        assert set(handle.trim.store) == {
+            triple(f"s{i}", "p", i) for i in range(21)}
+        reopened.release(handle)
+        reopened.close_all()
+
     def test_submit_after_close_raises(self, tmp_path):
         registry = PadRegistry(str(tmp_path))
         handle = registry.acquire("t")

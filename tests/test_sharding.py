@@ -352,17 +352,6 @@ class TestShardedDurability:
         assert durability.group >= 2
         durability.close()
 
-    @pytest.mark.parametrize("sync", ["group", "async"])
-    def test_background_sync_modes(self, tmp_path, sync):
-        directory = str(tmp_path / f"pool-{sync}")
-        store = ShardedTripleStore(4)
-        durability = ShardedDurability(store, directory, sync=sync)
-        ts = [T(i) for i in range(30)]
-        store.add_all(ts)
-        durability.commit(wait=True)
-        durability.close()
-        assert recover_sharded(directory).store.select() == ts
-
     def test_trim_manager_passthrough(self, tmp_path):
         directory = str(tmp_path / "pool")
         trim = TrimManager(shards=4, durable=directory)
