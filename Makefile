@@ -4,8 +4,7 @@
 PY := PYTHONPATH=src python -m
 
 .PHONY: test verify bench bench-smoke bench-ingest bench-concurrency \
-        bench-sharding bench-caching bench-resharding bench-service \
-        bench-recovery bench-all check-floors check-regression \
+        bench-caching bench-service bench-recovery bench-all check-floors check-regression \
         replay-smoke
 
 test:            ## tier-1: the full unit/integration/property suite
@@ -43,25 +42,12 @@ bench-ingest:    ## full-scale bulk-ingest benchmark, rewrites its JSON
 bench-concurrency: ## full-scale concurrency benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_concurrency.py --benchmark-only -q -s
 
-# Regenerates BENCH_trim_sharding.json at full scale: durable ingest
-# throughput at 4 shards vs 1 under snapshot-isolation reads, and
-# subject-routed query latency vs the unsharded store.
-bench-sharding:  ## full-scale sharding benchmark, rewrites its JSON
-	$(PY) pytest benchmarks/test_trim_sharding.py --benchmark-only -q -s
-
 # Regenerates BENCH_trim_caching.json at full scale: warm repeated
 # selects/queries through the generation-keyed cache vs the planner-only
 # baseline, and incremental view maintenance vs full-recompute views
 # under a mutating workload.
 bench-caching:   ## full-scale read-cache benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_caching.py --benchmark-only -q -s
-
-# Regenerates BENCH_trim_resharding.json at full scale: the durable
-# ingest scale-out curve at 1/2/4/8 shards (with per-commit latency
-# percentiles) and the throughput dip/recovery while reshard(1 -> 4)
-# migrates under a live zipfian writer.
-bench-resharding: ## full-scale resharding benchmark, rewrites its JSON
-	$(PY) pytest benchmarks/test_trim_resharding.py --benchmark-only -q -s
 
 # Regenerates BENCH_trim_service.json at full scale: 16 TCP connections
 # of zipfian writes through `python -m repro serve` (write-coalescing
@@ -71,10 +57,9 @@ bench-service:   ## full-scale TRIM-service benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_service.py --benchmark-only -q -s
 
 # Regenerates BENCH_trim_recovery.json at full scale: v3 binary
-# snapshot load vs WAL replay at 100k and 1M triples, serial vs
-# pooled 4-shard recovery, cold tenant open p50/p99 through the
-# registry (eviction compacts), and the delta-compaction stall as
-# the store grows 10x.
+# snapshot load vs WAL replay at 100k and 1M triples, cold tenant
+# open p50/p99 through the registry (eviction compacts), and the
+# delta-compaction stall as the store grows 10x.
 bench-recovery:  ## full-scale cold-start recovery benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_recovery.py --benchmark-only -q -s
 
@@ -92,14 +77,11 @@ check-regression: ## committed bench headlines within 15% of the baseline
 	PYTHONPATH=src python benchmarks/check_floors.py \
 	    --baseline benchmarks/BENCH_baseline.json --tolerance 0.15
 
-# The deterministic-replay smoke: captures one bundle per crash family
-# (a 2PC coordinator death, a WAL byte kill) and replays each twice —
-# all replays must recover to the byte-identical state the capture
-# recorded.  This is the fast end-to-end pass; tests/test_replay.py
-# holds the full matrix.
-replay-smoke:    ## capture + doubly-replay one bundle per crash family
-	$(PY) repro replay record --scenario 2pc-crash --out /tmp/replay-2pc.json
-	$(PY) repro replay run /tmp/replay-2pc.json
+# The deterministic-replay smoke: captures one bundle of the WAL-kill
+# crash family and replays it twice — both replays must recover to the
+# byte-identical state the capture recorded.  This is the fast
+# end-to-end pass; tests/test_replay.py holds the full matrix.
+replay-smoke:    ## capture + doubly-replay one WAL-kill bundle
 	$(PY) repro replay record --scenario wal-kill --out /tmp/replay-wal.json
 	$(PY) repro replay run /tmp/replay-wal.json
 

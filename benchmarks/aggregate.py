@@ -7,7 +7,7 @@ per benchmark — the two or three numbers a reader checks before digging
 into the full trajectory file — and writes the combined map to
 ``BENCH_summary.json``:
 
-    {"generated_from": [...], "benches": {"trim_sharding": {...}, ...}}
+    {"generated_from": [...], "benches": {"trim_query": {...}, ...}}
 
 Run directly (no arguments)::
 
@@ -47,21 +47,10 @@ HEADLINES = {
         "compound_index_speedup_x": ("two_field_selection", "speedup"),
         "planned_query_speedup_x": ("conjunctive_query", "speedup"),
     },
-    "trim_sharding": {
-        "durable_ingest_speedup_x": ("durable_ingest", "speedup_x"),
-        "routed_query_ratio": ("query_routing", "routed_ratio"),
-    },
     "trim_caching": {
         "cached_query_speedup_x": ("cached_reads", "query_speedup_x"),
         "cached_read_hit_rate": ("cached_reads", "hit_rate"),
         "incremental_view_speedup_x": ("incremental_views", "speedup_x"),
-    },
-    "trim_resharding": {
-        "scaling_speedup_4_vs_1": ("scaling_curve", "speedup_4_vs_1"),
-        "scaling_speedup_8_vs_1": ("scaling_curve", "speedup_8_vs_1"),
-        "reshard_seconds": ("reshard_under_load", "reshard_seconds"),
-        "reshard_recovery_ratio": ("reshard_under_load",
-                                   "throughput_recovery_ratio"),
     },
     "trim_service": {
         "coalesce_ratio": ("write_coalescing", "coalesce_ratio"),
@@ -75,7 +64,6 @@ HEADLINES = {
                                            "speedup_100k"),
         "snapshot_recovery_speedup_1m": ("snapshot_vs_replay",
                                          "speedup_1m"),
-        "parallel_recovery_speedup_x": ("parallel_recovery", "speedup_x"),
         "cold_open_p99_us": ("cold_open", "open_p99_us"),
         "compaction_stall_ratio_10x": ("compaction_stall",
                                        "stall_ratio_10x"),

@@ -54,11 +54,6 @@ FLOORS = {
     ("trim_caching", "cached_query_speedup_x"): 10.0,
     ("trim_caching", "incremental_view_speedup_x"): 5.0,
     ("trim_caching", "cached_read_hit_rate"): 0.9,
-    # ISSUE 8: the scale-out curve must stay a curve (measured 1.97x at
-    # 4 shards on the gate host) and a live reshard must hand back most
-    # of the throughput once the map flips (measured 0.90).
-    ("trim_resharding", "scaling_speedup_4_vs_1"): 1.3,
-    ("trim_resharding", "reshard_recovery_ratio"): 0.5,
     # ISSUE 9: N connections must coalesce into far fewer commit groups
     # than requests (measured 4.1x with the high-water mark engaged).
     ("trim_service", "coalesce_ratio"): 1.5,
@@ -66,12 +61,9 @@ FLOORS = {
     # the 0.66x the XML format recorded.  The durability bench times the
     # default (plain-store) recovery at 6k triples; the recovery bench
     # times the interned fast path at 100k, where the acceptance
-    # criterion demands >= 3x.  Parallel shard recovery's floor says
-    # "the fan-out costs nothing" — the gate host is single-core, so a
-    # GIL-bound ~1.0x is the honest expectation, not a multi-core win.
+    # criterion demands >= 3x.
     ("trim_durability", "snapshot_vs_replay_x"): 1.2,
     ("trim_recovery", "snapshot_recovery_speedup_100k"): 3.0,
-    ("trim_recovery", "parallel_recovery_speedup_x"): 0.7,
 }
 
 #: (bench, headline) -> maximum committed value — floors for metrics
@@ -104,7 +96,6 @@ LOWER_IS_BETTER = {
     # snapshot *lost* to replay, so the metric was framed as overhead.
     # ISSUE 10's binary format flipped it to a genuine speedup —
     # higher is better now, and it carries a floor above.
-    ("trim_resharding", "reshard_seconds"),
     ("trim_service", "write_p99_us"),
     ("trim_service", "drain_seconds"),
     ("trim_service", "lost_acked_writes"),

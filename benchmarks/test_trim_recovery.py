@@ -1,6 +1,6 @@
-"""Cold-start recovery: binary snapshots, parallel shards, delta stalls.
+"""Cold-start recovery: binary snapshots, cold opens, delta stalls.
 
-Four questions the recovery overhaul (ISSUE 10) raises:
+Three questions the recovery overhaul raises:
 
 1. **Snapshot vs replay, at scale** — rebuilding an N-triple state from
    a v3 binary columnar snapshot versus replaying the WAL, at 100k and
@@ -11,16 +11,10 @@ Four questions the recovery overhaul (ISSUE 10) raises:
    interned store (dictionary ids map straight into the intern table —
    the format's designed-for path) and the plain ``TripleStore``
    default are reported separately.
-2. **Parallel shard recovery** — ``recover_sharded`` fans per-shard
-   recovery over the shard pool; serial vs parallel wall-clock on a
-   4-shard store.  The gate host is single-core (``nproc`` = 1), so
-   CPU-bound decode cannot overlap and the honest expectation here is
-   ~1.0x, not the multi-core win; the floor asserts parallel recovery
-   *costs* nothing (>= 0.7x), not that one core becomes four.
-3. **Cold tenant open latency** — the full service path: evicted
+2. **Cold tenant open latency** — the full service path: evicted
    (compacted-on-close) tenants reopened through ``PadRegistry``,
    p50/p99 from the registry's own open-latency window.
-4. **Compaction stall** — delta compaction folds the committed WAL tail
+3. **Compaction stall** — delta compaction folds the committed WAL tail
    into an fsynced delta segment without rewriting the snapshot, so the
    stall must track changes-since-last-compact, staying flat as the
    store grows 10x.
@@ -40,7 +34,6 @@ import pytest
 
 from repro.service.registry import PadRegistry
 from repro.triples.interned import InternedTripleStore
-from repro.triples.sharded import ShardedTripleStore, recover_sharded
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Resource, triple
@@ -55,9 +48,6 @@ SCALE_POINTS = (
     ("100k", 5_000 if _SMOKE else 100_000, ("plain", "interned")),
     ("1m", 20_000 if _SMOKE else 1_000_000, ("interned",)),
 )
-#: parallel-recovery shape: shards x triples spread across them.
-PARALLEL_SHARDS = 4
-PARALLEL_TRIPLES = 2_000 if _SMOKE else 40_000
 #: cold-open shape: tenants x triples each.
 COLD_TENANTS = 3 if _SMOKE else 8
 COLD_TRIPLES = 300 if _SMOKE else 5_000
@@ -146,50 +136,6 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
         "Snapshot load vs WAL replay (same final state)",
         ["scale", "store", "replay s", "snapshot s", "speedup"],
         table_rows)
-
-
-def test_parallel_shard_recovery(benchmark, tmp_path):
-    """Serial vs pooled per-shard recovery of the same 4-shard state."""
-    directory = str(tmp_path / "sharded")
-    items = random_triples(PARALLEL_TRIPLES,
-                           num_subjects=max(PARALLEL_TRIPLES // 10, 10),
-                           num_properties=8)
-    trim = TrimManager(shards=PARALLEL_SHARDS)
-    trim.enable_durability(directory, fsync=False)
-    trim.bulk_ingest(items)
-    trim.durability.compact()
-    trim.close()
-
-    # Serial reference: the same recovery with the shard pool disabled,
-    # so the fan-out's overhead (futures, pool dispatch) is the only
-    # difference between the two measurements.
-    pool_getter = ShardedTripleStore._get_pool
-    ShardedTripleStore._get_pool = lambda self: None
-    try:
-        serial_s, serial = _timed(lambda: recover_sharded(directory))
-    finally:
-        ShardedTripleStore._get_pool = pool_getter
-    parallel_s, parallel = run_once(
-        benchmark, lambda: _timed(lambda: recover_sharded(directory)))
-    assert len(serial.store) == len(parallel.store)
-    assert serial.stage_seconds is not None
-    assert parallel.stage_seconds is not None
-
-    _RESULTS["parallel_recovery"] = {
-        "shards": PARALLEL_SHARDS,
-        "triples": len(parallel.store),
-        "serial_s": round(serial_s, 6),
-        "parallel_s": round(parallel_s, 6),
-        "speedup_x": round(serial_s / parallel_s, 2),
-        "stage_seconds": parallel.stage_seconds,
-    }
-    print_table(
-        f"Parallel recovery of {PARALLEL_SHARDS} shards "
-        f"({len(parallel.store)} triples, single-core host)",
-        ["mode", "seconds"],
-        [("serial (pool disabled)", f"{serial_s:.4f}"),
-         ("pooled fan-out", f"{parallel_s:.4f}"),
-         ("speedup", f"{serial_s / parallel_s:.2f}x")])
 
 
 def test_cold_tenant_open_latency(benchmark, tmp_path):
@@ -284,8 +230,8 @@ def test_compaction_stall_stays_flat(benchmark, tmp_path):
 
 def test_writes_trajectory_json(benchmark, tmp_path):
     """Aggregate the sections above into BENCH_trim_recovery.json."""
-    assert set(_RESULTS) == {"snapshot_vs_replay", "parallel_recovery",
-                             "cold_open", "compaction_stall"}, \
+    assert set(_RESULTS) == {"snapshot_vs_replay", "cold_open",
+                             "compaction_stall"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_recovery.json")
                  if _SMOKE else _JSON_PATH)
@@ -296,7 +242,6 @@ def test_writes_trajectory_json(benchmark, tmp_path):
             "generator": "repro.workloads.generator.random_triples",
             "scale_points": {label: count
                              for label, count, _ in SCALE_POINTS},
-            "parallel_shards": PARALLEL_SHARDS,
             "cold_tenants": COLD_TENANTS,
         },
         **_RESULTS,

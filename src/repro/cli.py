@@ -2,11 +2,9 @@
 
 Commands:
 
-- ``demo [--durable DIR] [--shards N] [--cache-stats]`` — the quickstart
-  round trip, printed; with ``--durable`` the pad's triples are logged
-  crash-safely under DIR; with ``--shards`` the pool is hash-partitioned
-  across N stores (each with its own WAL under DIR); ``--cache-stats``
-  reports read-cache hit rates at exit.
+- ``demo [--durable DIR] [--cache-stats]`` — the quickstart round trip,
+  printed; with ``--durable`` the pad's triples are logged crash-safely
+  under DIR; ``--cache-stats`` reports read-cache hit rates at exit.
 - ``worksheet [--patients N] [--seed S] [--svg PATH] [--cache-stats]`` —
   build a rounds worksheet over a synthetic census; print the outline;
   optionally write the SVG rendering and/or the read-cache report.
@@ -16,23 +14,18 @@ Commands:
   corpus.
 - ``models`` — define the built-in superimposed models and list them.
 - ``recover DIR [--out PATH]`` — rebuild the durable store under DIR
-  (snapshot + WAL tail; sharded layouts are detected and every shard
-  recovered, finishing any in-doubt two-phase commit) and print recovery
-  statistics; optionally export the recovered triples to a plain XML file.
+  (snapshot + delta segments + WAL tail) and print recovery statistics;
+  optionally export the recovered triples to a plain XML file.
 - ``replay record|run|verify`` — the deterministic replay harness:
-  ``record`` captures a built-in crash scenario (a WAL byte-offset kill
-  or a 2PC coordinator death) as a schema-validated bundle; ``run``
-  re-executes a bundle N times against fresh stores and asserts every
-  run recovers byte-identical state (and matches the bundle's recorded
-  outcome); ``verify`` schema-checks a bundle without executing it.
-- ``shards info DIR`` — shard-map version, per-shard triple counts, and
-  the max/mean balance skew of a sharded durable root; ``shards split
-  DIR --shards N [--out DIR]`` — offline rewrite to N shards (the only
-  path that shrinks; live growth is ``TrimManager.reshard``).
-- ``serve ROOT [--host H] [--port P] [--shards N] [--high-water N]
+  ``record`` captures the built-in crash scenario (a WAL byte-offset
+  kill) as a schema-validated bundle; ``run`` re-executes a bundle N
+  times against fresh stores and asserts every run recovers
+  byte-identical state (and matches the bundle's recorded outcome);
+  ``verify`` schema-checks a bundle without executing it.
+- ``serve ROOT [--host H] [--port P] [--high-water N]
   [--idle-ttl SECONDS]`` — run the multi-tenant TRIM service
   (:mod:`repro.service`): an asyncio TCP front end where each tenant
-  name maps to its own durable shard-set + WAL directory under ROOT.
+  name maps to its own durable directory under ROOT.
   SIGTERM/SIGINT drain gracefully (flush every tenant, close WALs).
 
 Every command runs through interrupt-safe dispatch: a Ctrl-C anywhere
@@ -81,7 +74,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     sheet.set_row(1, ["Drug", "Dose", "Route", "Schedule"])
     sheet.set_row(2, ["Lasix", "40mg", "IV", "BID"])
     manager = standard_mark_manager(library)
-    pad = SlimPadApplication(manager, shards=getattr(args, "shards", 1))
+    pad = SlimPadApplication(manager)
     durable = getattr(args, "durable", None)
     if durable:
         pad.enable_durability(durable)
@@ -99,9 +92,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"content: {resolution.content}")
     if durable:
         trim = pad.dmi.runtime.trim
-        sharded = f" across {trim.shards} shards" if trim.shards > 1 else ""
         print(f"\ndurable state in {durable}: "
-              f"{len(trim.store)} triples{sharded}, "
+              f"{len(trim.store)} triples, "
               f"group {trim.durability.group} committed "
               f"(recover with: python -m repro recover {durable})")
     if getattr(args, "cache_stats", False):
@@ -110,87 +102,34 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.errors import PersistenceError
     from repro.triples import persistence
-    from repro.triples.sharded import is_sharded_directory, recover_sharded
     from repro.triples.wal import recover
 
-    def _stage_line(stage_seconds, indent="  "):
-        if not stage_seconds:
-            return
-        parts = ", ".join(f"{stage.rsplit('_', 1)[0]} {seconds * 1000:.1f}ms"
-                          for stage, seconds in stage_seconds.items())
-        print(f"{indent}stages: {parts}")
-
-    if is_sharded_directory(args.directory):
-        sharded = recover_sharded(args.directory)
-        store, namespaces = sharded.store, sharded.namespaces
-        print(f"recovered {len(store)} triple(s) from {args.directory} "
-              f"({store.shard_count} shards, epoch {sharded.epoch})")
-        _stage_line(sharded.stage_seconds)
-        if sharded.repaired:
-            print(f"  finished the fence of {sharded.repaired} "
-                  f"prepared group(s) whose commit was decided")
-        for i, result in enumerate(sharded.shards):
-            print(f"  shard {i}: {len(result.store)} triple(s) "
-                  f"({result.snapshot_triples} snapshot, "
-                  f"{result.delta_segments} delta segment(s), "
-                  f"{result.groups_replayed} WAL group(s) replayed)")
-            _stage_line(result.stage_seconds, indent="    ")
-    else:
+    try:
         result = recover(args.directory)
-        store, namespaces = result.store, result.namespaces
-        print(f"recovered {len(store)} triple(s) from {args.directory}")
-        print(f"  snapshot: {result.snapshot_triples} triple(s) "
-              f"(through group {result.snapshot_group})")
-        print(f"  deltas: {result.delta_segments} segment(s), "
-              f"{result.delta_changes} change(s) "
-              f"(through group {result.covered_group})")
-        print(f"  WAL tail: {result.groups_replayed} group(s), "
-              f"{result.changes_replayed} change(s) replayed")
-        _stage_line(result.stage_seconds)
-        if result.discarded_bytes:
-            print(f"  discarded {result.discarded_bytes} corrupt/torn "
-                  f"byte(s) past the last complete group")
+    except PersistenceError as exc:
+        print(f"cannot recover: {exc}", file=sys.stderr)
+        return 1
+    store, namespaces = result.store, result.namespaces
+    print(f"recovered {len(store)} triple(s) from {args.directory}")
+    print(f"  snapshot: {result.snapshot_triples} triple(s) "
+          f"(through group {result.snapshot_group})")
+    print(f"  deltas: {result.delta_segments} segment(s), "
+          f"{result.delta_changes} change(s) "
+          f"(through group {result.covered_group})")
+    print(f"  WAL tail: {result.groups_replayed} group(s), "
+          f"{result.changes_replayed} change(s) replayed")
+    if result.stage_seconds:
+        parts = ", ".join(f"{stage.rsplit('_', 1)[0]} {seconds * 1000:.1f}ms"
+                          for stage, seconds in result.stage_seconds.items())
+        print(f"  stages: {parts}")
+    if result.discarded_bytes:
+        print(f"  discarded {result.discarded_bytes} corrupt/torn "
+              f"byte(s) past the last complete group")
     if args.out:
         persistence.save(store, args.out, namespaces)
         print(f"recovered store written to {args.out}")
-    return 0
-
-
-def _cmd_shards(args: argparse.Namespace) -> int:
-    from repro.triples.sharded import (is_sharded_directory, recover_sharded,
-                                       split_offline)
-
-    if not is_sharded_directory(args.directory):
-        print(f"{args.directory} is not a sharded durable root",
-              file=sys.stderr)
-        return 1
-    if args.action == "split":
-        shard_map = split_offline(args.directory, args.shards, out=args.out)
-        where = args.out or args.directory
-        print(f"rewrote {args.directory} -> {where}: "
-              f"{shard_map.shard_count} shard(s), map version "
-              f"{shard_map.version}")
-        return 0
-    result = recover_sharded(args.directory)
-    try:
-        store = result.store
-        counts = [len(shard) for shard in store.shards]
-        total = sum(counts)
-        mean = total / len(counts) if counts else 0.0
-        skew = (max(counts) / mean) if mean else 1.0
-        print(f"{args.directory}: {total} triple(s) across "
-              f"{store.shard_count} shard(s)")
-        print(f"  shard map: version {result.map_version}, "
-              f"{len(store.shard_map.slots)} slot(s)"
-              + (", MIGRATION IN PROGRESS (reopen to resume)"
-                 if result.migration_open else ""))
-        for i, n in enumerate(counts):
-            print(f"  shard {i}: {n} triple(s)")
-        print(f"  balance: max/mean skew {skew:.3f} "
-              f"(1.0 = perfectly level)")
-    finally:
-        result.store.close()
     return 0
 
 
@@ -200,15 +139,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.errors import BundleError, ReplayDivergenceError
     from repro.replay import bundle as bundle_format
     from repro.replay import replay_check
-    from repro.replay.scenarios import capture_2pc_crash, capture_wal_kill
+    from repro.replay.scenarios import capture_wal_kill
 
     if args.action == "record":
         directory = args.dir or tempfile.mkdtemp(prefix="repro-capture-")
-        if args.scenario == "wal-kill":
-            bundle = capture_wal_kill(directory, seed=args.seed)
-        else:
-            bundle = capture_2pc_crash(directory, seed=args.seed,
-                                       stage=args.stage, shards=args.shards)
+        bundle = capture_wal_kill(directory, seed=args.seed)
         bundle_format.save(bundle, args.out)
         outcome = bundle["outcome"]
         print(f"captured {args.scenario} scenario -> {args.out}")
@@ -226,8 +161,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 1
     if args.action == "verify":
         print(f"{args.bundle}: valid version-{bundle['version']} bundle "
-              f"({len(bundle['ops'])} op(s), "
-              f"{bundle['config'].get('shards', 1)} shard(s))")
+              f"({len(bundle['ops'])} op(s))")
         return 0
 
     directory = args.dir or tempfile.mkdtemp(prefix="repro-replay-")
@@ -244,8 +178,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         lat = first.op_latency_us
         print(f"  op latency: p50 {lat['p50_us']}us, "
               f"p95 {lat['p95_us']}us, p99 {lat['p99_us']}us")
-    if first.crashed:
-        print("  injected: 2PC coordinator kill (recovered via repair)")
     if first.killed_at is not None:
         print(f"  injected: WAL truncation at byte {first.killed_at}")
     outcome = bundle.get("outcome")
@@ -316,7 +248,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import TrimService
 
     service = TrimService(args.root, host=args.host, port=args.port,
-                          shards=args.shards, high_water=args.high_water,
+                          high_water=args.high_water,
                           idle_ttl=args.idle_ttl)
     def announce(line: str) -> None:
         print(line, flush=True)
@@ -335,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="log the pad crash-safely under this directory")
     demo.add_argument("--cache-stats", action="store_true",
                       help="print read-cache hit/miss counters at exit")
-    demo.add_argument("--shards", type=int, default=1, metavar="N",
-                      help="hash-partition the triple pool across N stores")
     demo.set_defaults(handler=_cmd_demo)
 
     worksheet = commands.add_parser("worksheet",
@@ -376,19 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     actions = replay.add_subparsers(dest="action", required=True)
     record = actions.add_parser(
         "record", help="capture a built-in crash scenario as a bundle")
-    record.add_argument("--scenario", choices=["wal-kill", "2pc-crash"],
-                        default="2pc-crash",
+    record.add_argument("--scenario", choices=["wal-kill"],
+                        default="wal-kill",
                         help="which crash family to capture")
     record.add_argument("--out", default="replay-bundle.json",
                         help="bundle file to write")
     record.add_argument("--seed", type=int, default=2001,
                         help="workload + kill-point seed")
-    record.add_argument("--stage", choices=["prepare", "decide", "decided",
-                                            "fence", "finish"],
-                        default="decided",
-                        help="2PC stage to kill the coordinator at")
-    record.add_argument("--shards", type=int, default=4,
-                        help="shard count for the 2pc-crash scenario")
     record.add_argument("--dir", default=None,
                         help="capture session directory (default: temp)")
     record.set_defaults(handler=_cmd_replay)
@@ -405,24 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("bundle", help="bundle file to check")
     verify.set_defaults(handler=_cmd_replay)
 
-    shards = commands.add_parser(
-        "shards", help="inspect / rewrite a sharded durable directory")
-    shard_actions = shards.add_subparsers(dest="action", required=True)
-    info = shard_actions.add_parser(
-        "info", help="shard-map version, per-shard counts, balance skew")
-    info.add_argument("directory", help="sharded durable root")
-    info.set_defaults(handler=_cmd_shards)
-    split = shard_actions.add_parser(
-        "split", help="offline rewrite to a different shard count "
-                      "(grow or shrink)")
-    split.add_argument("directory", help="sharded durable root")
-    split.add_argument("--shards", type=int, required=True, metavar="N",
-                       help="target shard count")
-    split.add_argument("--out", default=None, metavar="DIR",
-                       help="write the rebuilt tree here instead of "
-                            "swapping in place")
-    split.set_defaults(handler=_cmd_shards)
-
     serve = commands.add_parser(
         "serve", help="run the multi-tenant TRIM service (asyncio TCP)")
     serve.add_argument("root",
@@ -432,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port; 0 picks an ephemeral port "
                             "(default 7421)")
-    serve.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="shards per tenant store (default 1)")
     serve.add_argument("--high-water", type=int, default=64, metavar="N",
                        help="per-tenant inflight writes before RETRY_AFTER "
                             "(default 64)")

@@ -92,19 +92,9 @@ class DmiRuntime:
     """Create/update/delete entity instances stored as triples."""
 
     def __init__(self, spec: ModelSpec,
-                 trim: Optional[TrimManager] = None,
-                 shards: int = 1) -> None:
+                 trim: Optional[TrimManager] = None) -> None:
         self.spec = spec
-        # shards > 1 partitions the backing pool by subject hash (see
-        # repro.triples.sharded); ignored when a TrimManager is supplied.
-        self.trim = trim or TrimManager(shards=shards)
-
-    def reshard(self, new_count: int, batch_subjects: int = 256,
-                wait: bool = True):
-        """Grow the underlying TRIM's shard count live (see
-        :meth:`TrimManager.reshard <repro.triples.trim.TrimManager.reshard>`)."""
-        return self.trim.reshard(new_count, batch_subjects=batch_subjects,
-                                 wait=wait)
+        self.trim = trim or TrimManager()
 
     # -- naming ---------------------------------------------------------------
 

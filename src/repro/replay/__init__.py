@@ -14,9 +14,8 @@ See DESIGN.md §13 for the architecture and the regression-gate policy
 this pairs with (``benchmarks/check_floors.py --baseline``).
 """
 
-from repro.replay.bundle import (BUNDLE_KIND, BUNDLE_VERSION, CRASH_STAGES,
-                                 MAX_OPS, MAX_TEXT, make_bundle,
-                                 validate_bundle)
+from repro.replay.bundle import (BUNDLE_KIND, BUNDLE_VERSION, MAX_OPS,
+                                 MAX_TEXT, make_bundle, validate_bundle)
 from repro.replay.bundle import dumps as dump_bundle
 from repro.replay.bundle import load as load_bundle
 from repro.replay.bundle import loads as loads_bundle
@@ -28,7 +27,6 @@ from repro.replay.replayer import ReplayResult, replay, replay_check
 __all__ = [
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
-    "CRASH_STAGES",
     "MAX_OPS",
     "MAX_TEXT",
     "CaptureTap",

@@ -2,8 +2,8 @@
 
 A *bundle* is one JSON document holding everything needed to re-execute
 a TRIM session — the operation stream (adds/removes with their global
-insertion sequences, commit boundaries), the injected crash point (a 2PC
-protocol stage or a WAL byte offset), the store configuration, the
+insertion sequences, commit boundaries), the injected crash point (a
+WAL byte offset), the store configuration, the
 workload seeds, and thread-interleaving hints — plus the digest of the
 state the original run recovered to.  A failure seen once in a crash
 matrix or a race sweep becomes a file that replays exactly, anywhere.
@@ -19,14 +19,13 @@ bug reports.
 Format (version :data:`BUNDLE_VERSION`)::
 
     {"version": 1, "kind": "trim-replay",
-     "config": {"shards": 1, "compact_every": 64,
-                "commit_every": null, "fsync": false},
+     "config": {"compact_every": 64, "commit_every": null,
+                "fsync": false},
      "seeds": {"workload": 2001},
      "interleave": ["writer-0: commit", ...],       # hints, not a schedule
      "ops": [{"op": "add", "s": ..., "p": ..., "v": ["l","integer",3],
               "seq": 0},
              {"op": "commit"},
-             {"op": "crash", "stage": "decided", "index": null},
              {"op": "kill", "offset": 142}],
      "outcome": {"digest": "<sha256>", "triples": 12},
      "meta": {...}}
@@ -59,11 +58,12 @@ MAX_INTERLEAVE = 512
 MAX_SEEDS = 64
 
 #: Operation kinds a version-1 bundle may contain.
-OP_KINDS = ("add", "remove", "commit", "crash", "kill")
+OP_KINDS = ("add", "remove", "commit", "kill")
 
-#: 2PC protocol stages a ``crash`` op may name (the crash matrix in
-#: ``tests/test_sharding.py`` sweeps exactly these).
-CRASH_STAGES = ("prepare", "decide", "decided", "fence", "finish")
+#: Why a bundle captured on a sharded store (``config.shards`` > 1, or a
+#: ``crash`` op, which killed its two-phase commit) is refused.
+_SHARDED_REFUSAL = ("sharded bundles are no longer replayable: this "
+                    "harness replays single-store sessions only")
 
 #: ``meta`` keys whose values are always replaced by this marker.
 REDACTED = "<redacted>"
@@ -165,10 +165,11 @@ def _check_node(payload: Any, where: str) -> None:
         _check_text(node.value, where)
 
 
-def _check_op(op: Any, index: int, shards: int) -> None:
+def _check_op(op: Any, index: int) -> None:
     where = f"ops[{index}]"
     _require(isinstance(op, dict), f"{where}: expected object")
     kind = op.get("op")
+    _require(kind != "crash", f"{where}: {_SHARDED_REFUSAL}")
     _require(kind in OP_KINDS,
              f"{where}: unknown op kind {kind!r} (valid: {OP_KINDS})")
     if kind in ("add", "remove"):
@@ -179,22 +180,7 @@ def _check_op(op: Any, index: int, shards: int) -> None:
         _check_node(op["v"], f"{where}.v")
         _require(isinstance(op["seq"], int) and not isinstance(op["seq"], bool)
                  and op["seq"] >= 0, f"{where}.seq: expected int >= 0")
-    elif kind == "commit":
-        subject = op.get("subject")
-        if subject is not None:
-            _check_text(subject, f"{where}.subject")
-    elif kind == "crash":
-        _require(shards > 1,
-                 f"{where}: 'crash' (a 2PC stage kill) needs shards > 1")
-        _require(op.get("stage") in CRASH_STAGES,
-                 f"{where}.stage: unknown 2PC stage {op.get('stage')!r}")
-        shard = op.get("index")
-        _require(shard is None or (isinstance(shard, int)
-                 and 0 <= shard < shards),
-                 f"{where}.index: expected null or 0..{shards - 1}")
     elif kind == "kill":
-        _require(shards == 1,
-                 f"{where}: 'kill' (a WAL byte truncation) needs shards == 1")
         offset = op.get("offset")
         _require(isinstance(offset, int) and not isinstance(offset, bool)
                  and offset >= 0, f"{where}.offset: expected int >= 0")
@@ -205,7 +191,8 @@ def validate_bundle(bundle: Any) -> Dict[str, Any]:
 
     Raises :class:`~repro.errors.BundleError` naming the first violation:
     wrong version/kind, structural mismatches, unknown op kinds, caps
-    exceeded, or a terminal op (``crash``/``kill``) that is not last.
+    exceeded, a ``kill`` op that is not last, or a bundle captured on a
+    sharded store.
     """
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
     _require(bundle.get("version") == BUNDLE_VERSION,
@@ -216,12 +203,7 @@ def validate_bundle(bundle: Any) -> Dict[str, Any]:
 
     config = bundle.get("config")
     _require(isinstance(config, dict), "config must be an object")
-    shards = config.get("shards", 1)
-    _require(isinstance(shards, int) and shards >= 1,
-             "config.shards must be an int >= 1")
-    map_version = config.get("map_version", 1)
-    _require(isinstance(map_version, int) and map_version >= 1,
-             "config.map_version must be an int >= 1")
+    _require(config.get("shards", 1) == 1, f"config: {_SHARDED_REFUSAL}")
     compact_every = config.get("compact_every", 64)
     _require(isinstance(compact_every, int) and compact_every >= 1,
              "config.compact_every must be an int >= 1")
@@ -251,8 +233,8 @@ def validate_bundle(bundle: Any) -> Dict[str, Any]:
     _require(len(ops) <= MAX_OPS,
              f"ops: {len(ops)} operations exceed the {MAX_OPS}-op bound")
     for index, op in enumerate(ops):
-        _check_op(op, index, shards)
-        if isinstance(op, dict) and op.get("op") in ("crash", "kill"):
+        _check_op(op, index)
+        if op["op"] == "kill":
             _require(index == len(ops) - 1,
                      f"ops[{index}]: a {op['op']!r} op terminates the "
                      f"session and must be the final op")

@@ -10,9 +10,8 @@ and records the complete externally-visible operation stream:
   lets the replayer rebuild byte-identical state;
 - every durable commit boundary, by wrapping :meth:`TrimManager.commit`
   on the instance (detached cleanly by :meth:`detach`);
-- the injected crash, either a 2PC protocol-stage kill armed with
-  :meth:`arm_crash` (sharded stores) or a WAL byte-offset truncation
-  recorded with :meth:`record_kill` (single-store WALs).
+- the injected crash: a WAL byte-offset truncation recorded with
+  :meth:`record_kill`.
 
 The tap deliberately records at the change-stream level rather than the
 API-call level: the stream is the store's linearization of whatever
@@ -22,25 +21,23 @@ annotate which thread did what).
 
 Typical capture::
 
-    trim = TrimManager(shards=4, durable=directory)
+    trim = TrimManager(durable=directory)
     tap = CaptureTap(trim, seeds={"workload": 2001})
     ...drive the workload...
-    tap.arm_crash("decided")            # kill after the 2PC decision
-    with pytest.raises(SimulatedCrash):
-        trim.commit()
-    recovered = recover_sharded(directory)
-    bundle = tap.finish(recovered.store)
+    tap.detach()
+    trim.close()
+    tap.record_kill(offset)             # then truncate wal.log at offset
+    bundle = tap.finish(recover(directory).store)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReplayError
 from repro.replay import bundle as bundle_format
 from repro.replay.digest import state_digest
-from repro.triples.sharded import ShardedDurability, SimulatedCrash
-from repro.triples.triple import Resource, Triple
+from repro.triples.triple import Triple
 from repro.triples.trim import TrimManager
 
 
@@ -63,27 +60,18 @@ class CaptureTap:
         self._meta = dict(meta or {})
         self._ops: List[Dict[str, Any]] = []
         self._interleave: List[str] = []
-        self._armed: Optional[Dict[str, Any]] = None
         self._terminal = False
         self._detached = False
         self.config: Dict[str, Any] = {
-            "shards": trim.shards,
-            "map_version": trim.map_version,
             "compact_every": durability.compact_every,
             "commit_every": durability.commit_every,
-            "fsync": self._wal_fsync(durability),
+            "fsync": durability._wal._fsync,
         }
         self._unsubscribe = trim.store.add_listener(self._on_change)
         # Shadow the bound method with an instance attribute so every
         # commit path — direct calls, SLIMPad, DMI batches — is seen.
         self._wrapped_commit = trim.commit
         trim.commit = self._commit  # type: ignore[method-assign]
-
-    @staticmethod
-    def _wal_fsync(durability) -> bool:
-        if isinstance(durability, ShardedDurability):
-            durability = durability.shard_durabilities[0]
-        return durability._wal._fsync
 
     @property
     def ops(self) -> List[Dict[str, Any]]:
@@ -99,64 +87,15 @@ class CaptureTap:
         self._ops.append(bundle_format.encode_change(action, statement,
                                                      sequence))
 
-    def _commit(self, subject: Union[str, Resource, None] = None) -> bool:
-        if self._armed is None:
-            changed = self._wrapped_commit(subject)
-            if changed:
-                op: Dict[str, Any] = {"op": "commit"}
-                if subject is not None:
-                    op["subject"] = (subject.uri
-                                     if isinstance(subject, Resource)
-                                     else subject)
-                self._ops.append(op)
-            return changed
-        # A crash is armed: this commit is expected to die mid-protocol.
-        armed, self._armed = self._armed, None
-        try:
-            self._wrapped_commit(subject)
-        except SimulatedCrash:
-            self._ops.append({"op": "crash", "stage": armed["stage"],
-                              "index": armed["index"]})
-            self._terminal = True
-            durability = self._trim.durability
-            if durability is not None:
-                durability.abandon()
-            self.detach()
-            # The session is dead; release the shard pool now rather
-            # than from a GC finalizer (where the join can deadlock).
-            self._trim.close()
-            raise
-        raise ReplayError(
-            f"armed crash at 2PC stage {armed['stage']!r} never fired — "
-            f"the commit completed (single-participant group?)")
+    def _commit(self) -> bool:
+        changed = self._wrapped_commit()
+        if changed:
+            self._ops.append({"op": "commit"})
+        return changed
 
     def note(self, hint: str) -> None:
         """Append one free-form interleaving hint (e.g. which thread ran)."""
         self._interleave.append(hint)
-
-    def arm_crash(self, stage: str, index: Optional[int] = None) -> None:
-        """Arm a 2PC protocol-stage kill for the *next* commit.
-
-        Installs a crash hook on the sharded durability orchestrator that
-        raises :class:`~repro.triples.sharded.SimulatedCrash` when the
-        protocol reaches *stage* (optionally only for participant
-        *index*); the wrapped commit records the crash op, abandons the
-        coordinator (a dead process writes nothing more), and re-raises.
-        """
-        if stage not in bundle_format.CRASH_STAGES:
-            raise ReplayError(f"unknown 2PC stage {stage!r} "
-                              f"(valid: {bundle_format.CRASH_STAGES})")
-        durability = self._trim.durability
-        if not isinstance(durability, ShardedDurability):
-            raise ReplayError("arm_crash needs a sharded TRIM (shards > 1); "
-                              "use record_kill for single-WAL truncations")
-
-        def hook(hook_stage: str, txn: int, i: Optional[int]) -> None:
-            if hook_stage == stage and (index is None or i == index):
-                raise SimulatedCrash(f"{hook_stage}[{i}] txn {txn}")
-
-        durability.crash_hook = hook
-        self._armed = {"stage": stage, "index": index}
 
     def record_kill(self, offset: int) -> None:
         """Record a WAL truncation at byte *offset* as the terminal op.
@@ -165,9 +104,6 @@ class CaptureTap:
         WAL file or a copy); this just fixes the kill point in the
         bundle so the replayer cuts the regenerated log at the same byte.
         """
-        if self._trim.shards != 1:
-            raise ReplayError("record_kill models a single-WAL truncation; "
-                              "use arm_crash on sharded stores")
         if self._terminal:
             raise ReplayError("the session already has a terminal op")
         self._ops.append({"op": "kill", "offset": int(offset)})
@@ -191,16 +127,12 @@ class CaptureTap:
         """Detach and assemble the validated bundle document.
 
         *recovered_store* — the store the original session recovered to
-        (via :func:`~repro.triples.wal.recover` /
-        :func:`~repro.triples.sharded.recover_sharded`) — stamps the
+        (via :func:`~repro.triples.wal.recover`) — stamps the
         bundle's ``outcome`` digest, the ground truth replays are
         checked against.  ``None`` leaves the outcome open (the first
         replay then defines it).
         """
         self.detach()
-        # A reshard mid-capture rewrites routing under the recorded ops;
-        # stamp the final version so replay can fail closed on v > 1.
-        self.config["map_version"] = self._trim.map_version
         outcome = None
         if recovered_store is not None:
             outcome = {"digest": state_digest(recovered_store),

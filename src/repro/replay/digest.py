@@ -37,7 +37,7 @@ def canonical_lines(store) -> "list[bytes]":
 def state_digest(store) -> str:
     """The sha256 hex digest of the store's canonical serialization.
 
-    Works on plain, interned, and sharded stores alike — anything
+    Works on plain and interned stores alike — anything
     iterable in global insertion order with a ``sequence_of``.
     """
     digest = hashlib.sha256()

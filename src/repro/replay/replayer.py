@@ -5,7 +5,7 @@ with the bundle's recorded configuration, re-applies the operation
 stream — every add at its captured global insertion sequence (via
 ``store.restore``, so ordering is reproduced exactly, not merely
 membership), every remove, every commit boundary — injects the recorded
-crash (a 2PC stage kill or a WAL byte truncation), runs recovery, and
+crash (a WAL byte truncation), runs recovery, and
 returns the recovered store with its canonical digest.
 
 Against the bundle's recorded ``outcome``, and between any two runs,
@@ -25,9 +25,6 @@ from typing import Any, Dict, NamedTuple, Optional
 from repro.errors import ReplayDivergenceError, ReplayError
 from repro.replay import bundle as bundle_format
 from repro.replay.digest import state_digest
-from repro.triples.sharded import ShardedDurability, SimulatedCrash, \
-    recover_sharded
-from repro.triples.triple import Resource
 from repro.triples.trim import TrimManager
 from repro.triples.wal import WAL_FILE, recover
 from repro.util.stats import percentiles_us
@@ -39,7 +36,6 @@ class ReplayResult(NamedTuple):
     digest: str           #: sha256 of the recovered store's canonical form
     triples: int          #: recovered triple count
     ops_applied: int      #: operations re-executed from the bundle
-    crashed: bool         #: a 2PC stage kill fired
     killed_at: Optional[int]  #: WAL truncation offset, when one was replayed
     store: Any            #: the recovered store itself
     #: Per-op re-execution latency percentiles (``p50_us``/``p95_us``/
@@ -47,13 +43,6 @@ class ReplayResult(NamedTuple):
     #: gate reads these so a slow op class shows up as a tail shift,
     #: not just a total-seconds drift.  Empty dict on zero-op bundles.
     op_latency_us: Dict[str, float] = {}
-
-
-def _crash_hook(stage: str, index: Optional[int]):
-    def hook(hook_stage: str, txn: int, i: Optional[int]) -> None:
-        if hook_stage == stage and (index is None or i == index):
-            raise SimulatedCrash(f"{hook_stage}[{i}] txn {txn}")
-    return hook
 
 
 def replay(bundle: Dict[str, Any], directory: str,
@@ -66,26 +55,14 @@ def replay(bundle: Dict[str, Any], directory: str,
     """
     bundle = bundle_format.validate_bundle(bundle)
     config = bundle["config"]
-    shards = config.get("shards", 1)
-    map_version = config.get("map_version", 1)
-    if map_version != 1:
-        # A replay rebuilds from an empty directory, whose map is the
-        # version-1 layout; ops captured under a rebalanced map would
-        # route (and recover) onto different shards, breaking the
-        # byte-identical contract.  Fail closed rather than diverge.
-        raise ReplayError(
-            f"bundle was captured under shard-map version {map_version}; "
-            f"replay only reproduces the version-1 layout — re-record the "
-            f"session against a fresh directory")
     if os.path.isdir(directory) and os.listdir(directory):
         raise ReplayError(f"replay target {directory!r} is not empty — "
                           f"a replay must start from nothing")
-    trim = TrimManager(shards=shards, cache=False)
+    trim = TrimManager(cache=False)
     trim.enable_durability(directory,
                            compact_every=config.get("compact_every", 64),
                            fsync=config.get("fsync", False),
                            commit_every=config.get("commit_every"))
-    crashed = False
     killed_at: Optional[int] = None
     ops_applied = 0
     op_latencies: "list[float]" = []
@@ -100,27 +77,18 @@ def replay(bundle: Dict[str, Any], directory: str,
                 _, statement, _ = bundle_format.decode_change(op)
                 trim.store.discard(statement)
             elif kind == "commit":
-                trim.commit(subject=op.get("subject"))
-            elif kind == "crash":
-                crashed = _replay_crash(trim, op)
+                trim.commit()
             elif kind == "kill":
                 killed_at = op["offset"]
             op_latencies.append(time.perf_counter() - op_started)
             ops_applied += 1
     finally:
-        # Always close: after a crash the durability is already
-        # abandoned (close is then a no-op on it), but the shard pool
-        # must still be shut down here — leaking it to GC risks a
-        # finalizer-time thread join (see ShardedTripleStore.close).
         trim.close()
     if killed_at is not None:
         _truncate_wal(directory, killed_at)
-    if shards > 1:
-        recovered = recover_sharded(directory).store
-    else:
-        recovered = recover(directory).store
+    recovered = recover(directory).store
     result = ReplayResult(state_digest(recovered), len(recovered),
-                          ops_applied, crashed, killed_at, recovered,
+                          ops_applied, killed_at, recovered,
                           percentiles_us(op_latencies)
                           if op_latencies else {})
     outcome = bundle.get("outcome")
@@ -132,24 +100,6 @@ def replay(bundle: Dict[str, Any], directory: str,
             f"bundle recorded {outcome['triples']} with "
             f"{outcome['digest']}")
     return result
-
-
-def _replay_crash(trim: TrimManager, op: Dict[str, Any]) -> bool:
-    """Arm and fire the recorded 2PC stage kill; abandon the coordinator."""
-    durability = trim.durability
-    if not isinstance(durability, ShardedDurability):
-        raise ReplayError("bundle contains a 'crash' op but the store "
-                          "is not sharded")  # validate_bundle precludes this
-    durability.crash_hook = _crash_hook(op["stage"], op.get("index"))
-    try:
-        trim.commit()
-    except SimulatedCrash:
-        durability.abandon()
-        return True
-    raise ReplayDivergenceError(
-        f"recorded crash at 2PC stage {op['stage']!r} did not fire on "
-        f"replay — the commit completed, so the re-executed group lost "
-        f"its multi-shard spread")
 
 
 def _truncate_wal(directory: str, offset: int) -> None:

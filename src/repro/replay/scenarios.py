@@ -1,14 +1,13 @@
-"""Built-in capture scenarios: the two crash families, bundled on demand.
+"""Built-in capture scenario: the WAL-kill crash family, bundled on demand.
 
-These drive the same failure shapes the crash-injection suites sweep —
-a WAL kill at a byte offset (``tests/test_triples_wal.py``) and a 2PC
-coordinator death at a protocol stage (``tests/test_sharding.py``) —
-through a :class:`~repro.replay.capture.CaptureTap`, producing a
-validated bundle whose recorded outcome is the state the original run
-actually recovered to.  The ``python -m repro replay record`` command
-fronts them; the test suite captures its own scenarios directly.
+It drives the failure shape the crash-injection suite sweeps — a WAL
+kill at a byte offset (``tests/test_triples_wal.py``) — through a
+:class:`~repro.replay.capture.CaptureTap`, producing a validated bundle
+whose recorded outcome is the state the original run actually recovered
+to.  The ``python -m repro replay record`` command fronts it; the test
+suite captures its own scenarios directly.
 
-Both scenarios are seed-deterministic: the same seed yields the same
+The scenario is seed-deterministic: the same seed yields the same
 workload, the same kill point, and therefore the same bundle outcome.
 """
 
@@ -19,8 +18,6 @@ import random
 from typing import Any, Dict, Optional
 
 from repro.replay.capture import CaptureTap
-from repro.triples.sharded import SimulatedCrash, recover_sharded
-from repro.triples.triple import Resource
 from repro.triples.trim import TrimManager
 from repro.triples.wal import MAGIC, WAL_FILE, recover
 
@@ -42,7 +39,7 @@ def _workload(trim: TrimManager, tap: CaptureTap, rng: random.Random,
 
 def capture_wal_kill(directory: str, seed: int = 2001,
                      offset: Optional[int] = None) -> Dict[str, Any]:
-    """Capture an unsharded session killed at a WAL byte offset.
+    """Capture a session killed at a WAL byte offset.
 
     Runs a seeded workload under *directory*, leaves an uncommitted
     tail (the classic never-recover case), truncates the WAL at
@@ -67,34 +64,3 @@ def capture_wal_kill(directory: str, seed: int = 2001,
     recovered = recover(directory).store
     return tap.finish(recovered)
 
-
-def capture_2pc_crash(directory: str, seed: int = 2001,
-                      stage: str = "decided", index: Optional[int] = None,
-                      shards: int = 4) -> Dict[str, Any]:
-    """Capture a sharded session whose coordinator dies mid-2PC.
-
-    Seeds committed base state, then arms a kill at *stage* (optionally
-    participant *index*) and drives a multi-shard group into it; the
-    bundle's outcome is the state :func:`recover_sharded` repaired or
-    rolled back to.
-    """
-    rng = random.Random(seed)
-    trim = TrimManager(shards=shards, durable=directory,
-                       compact_every=10_000)
-    tap = CaptureTap(trim, seeds={"workload": seed},
-                     meta={"scenario": "2pc-crash", "stage": stage})
-    _workload(trim, tap, rng, commits=3)
-    tap.arm_crash(stage, index)
-    tap.note(f"coordinator: killed at {stage}"
-             + (f"[{index}]" if index is not None else ""))
-    for i in range(shards * 3):   # spread the doomed group over all shards
-        trim.create(f"slim:s{i}", "slim:inflight", 10_000 + i)
-    try:
-        trim.commit()
-    except SimulatedCrash:
-        pass
-    recovered = recover_sharded(directory).store
-    try:
-        return tap.finish(recovered)
-    finally:
-        recovered.close()

@@ -11,7 +11,7 @@ superimposed-information store instead of each embedding the library
   frames, and the tagged node codec shared with the replay bundles.
 - :mod:`repro.service.registry` — :class:`~repro.service.registry.PadRegistry`,
   which multiplexes named tenants: one durable
-  :class:`~repro.triples.trim.TrimManager` (shard-set + WAL directory)
+  :class:`~repro.triples.trim.TrimManager` (snapshot + WAL directory)
   per tenant, lazily opened, reference-counted, and closed when idle;
   plus the per-tenant write coalescer that funnels concurrent mutations
   into the existing group-commit path.

@@ -1,7 +1,7 @@
 """Multi-tenant pad registry: lazy durable TRIMs + per-tenant coalescers.
 
 One server process fronts many *tenants* — named pads, each owning a
-durable :class:`~repro.triples.trim.TrimManager` (its own shard-set and
+durable :class:`~repro.triples.trim.TrimManager` (its own snapshot and
 WAL directory under the registry root).  The registry's job is the
 lifecycle (DESIGN.md §15):
 
@@ -39,7 +39,7 @@ Admission control is a bounded inflight count per tenant: past the
 high-water mark, :meth:`TenantHandle.submit` raises
 :class:`~repro.errors.BackpressureError`, which the server maps onto a
 ``RETRY_AFTER`` error frame instead of queueing unboundedly when the
-writer thread's fsyncs or 2PC fan-out fall behind.
+writer thread's fsyncs fall behind.
 """
 
 from __future__ import annotations
@@ -135,16 +135,16 @@ class TenantHandle:
     snapshot-isolated against the writer thread).
     """
 
-    def __init__(self, name: str, directory: str, shards: int = 1,
+    def __init__(self, name: str, directory: str,
                  high_water: int = 64, max_batch: int = 256,
                  compact_every: int = 64) -> None:
         self.name = name
         self.directory = directory
         opened = time.perf_counter()
-        self.trim = TrimManager(durable=directory, shards=shards,
-                                concurrent=True, compact_every=compact_every)
+        self.trim = TrimManager(durable=directory, concurrent=True,
+                                compact_every=compact_every)
         #: Cold-open cost: wall-clock seconds recovery took for this
-        #: tenant (snapshot + delta + WAL fold, all shards).
+        #: tenant (snapshot + delta + WAL fold).
         self.open_seconds = time.perf_counter() - opened
         self._dmi = None
         self._dmi_lock = threading.Lock()
@@ -271,8 +271,8 @@ class TenantHandle:
         Everything already queued is applied and durably committed —
         acked writes are never dropped — then the writer thread exits
         and the TRIM detaches its durability handle.  With *compact*
-        the tenant is fully compacted first — one v3 snapshot per
-        shard, delta log and WAL reset — so the *next* open of this
+        the tenant is fully compacted first — one v3 snapshot, delta
+        log and WAL reset — so the *next* open of this
         directory is a pure snapshot load, the fastest recovery path.
         Eviction passes it; shutdown does not (drain time over reopen
         speed when every tenant closes at once).
@@ -305,7 +305,6 @@ class TenantHandle:
         with self._lock:
             block = {
                 "triples": len(self.trim.store),
-                "shards": self.trim.shards,
                 "refcount": self.refcount,
                 "inflight": self._inflight,
                 "high_water": self.high_water,
@@ -327,7 +326,7 @@ class PadRegistry:
 
     ::
 
-        registry = PadRegistry("/var/lib/trim", shards=2)
+        registry = PadRegistry("/var/lib/trim")
         handle = registry.acquire("ward-6")     # opens (or reuses) the pad
         try:
             handle.submit(lambda: handle.trim.create(...)).wait()
@@ -341,15 +340,12 @@ class PadRegistry:
     #: How many recent cold-open latencies feed the percentile block.
     _OPEN_LATENCY_WINDOW = 512
 
-    def __init__(self, root: str, shards: int = 1, high_water: int = 64,
+    def __init__(self, root: str, high_water: int = 64,
                  max_batch: int = 256, idle_ttl: float = 300.0,
                  compact_every: int = 64) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if high_water < 1:
             raise ValueError("high_water must be >= 1")
         self.root = root
-        self.shards = shards
         self.high_water = high_water
         self.max_batch = max_batch
         self.idle_ttl = idle_ttl
@@ -399,7 +395,7 @@ class PadRegistry:
             # but inside the name lock, so a concurrent acquire of the
             # same name waits instead of double-opening the WAL.
             handle = TenantHandle(
-                name, os.path.join(self.root, name), shards=self.shards,
+                name, os.path.join(self.root, name),
                 high_water=self.high_water, max_batch=self.max_batch,
                 compact_every=self.compact_every)
             with self._lock:

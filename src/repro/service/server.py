@@ -13,7 +13,7 @@ tenant of a :class:`~repro.service.registry.PadRegistry`:
   control) instead of queueing unboundedly.
 - **Reads** (``trim.select``, ``trim.query``, ``dmi.value``, …) run on
   the default thread executor against the store's snapshot-isolated
-  read path, so a slow scatter-gather query never stalls the event
+  read path, so a slow conjunctive query never stalls the event
   loop or other connections.
 - **Admin** operations (``ping``, ``admin.stats``, ``admin.evict``)
   need no tenant.
@@ -384,19 +384,18 @@ class TrimService:
     """The TRIM service: one registry behind one asyncio accept loop.
 
     *root* is the registry directory (one subdirectory per tenant);
-    *shards*/*high_water*/*idle_ttl* configure every tenant opened by
+    *high_water*/*idle_ttl* configure every tenant opened by
     this server (see :class:`~repro.service.registry.PadRegistry`).
     ``port=0`` binds an ephemeral port, resolved into :attr:`port` once
     the server has started.
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
-                 shards: int = 1, high_water: int = 64,
+                 high_water: int = 64,
                  max_batch: int = 256, idle_ttl: float = 300.0,
                  reap_interval: Optional[float] = None,
                  compact_every: int = 64) -> None:
-        self.registry = PadRegistry(root, shards=shards,
-                                    high_water=high_water,
+        self.registry = PadRegistry(root, high_water=high_water,
                                     max_batch=max_batch, idle_ttl=idle_ttl,
                                     compact_every=compact_every)
         self.host = host
@@ -499,6 +498,11 @@ class TrimService:
             self.errors_total += 1
             return protocol.error_response(request_id, "SHUTTING_DOWN",
                                            str(exc))
+        except Exception as exc:
+            # The tenant failed to open (unreadable directory, a layout
+            # this release refuses): answer with a frame, keep the
+            # connection.
+            return self._failure(request_id, exc)
 
         mutation = MUTATIONS.get(op)
         if mutation is not None:
@@ -537,15 +541,8 @@ class TrimService:
                                            str(exc))
         try:
             result = await future
-        except ReproError as exc:
-            self.errors_total += 1
-            return protocol.error_response(
-                request_id, "OP_FAILED",
-                f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # unexpected server-side failure
-            self.errors_total += 1
-            return protocol.error_response(
-                request_id, "INTERNAL", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            return self._failure(request_id, exc)
         return protocol.ok_response(request_id, result)
 
     async def _run_read(self, request_id: str, read: Callable,
@@ -559,15 +556,18 @@ class TrimService:
             self.errors_total += 1
             return protocol.error_response(request_id, "BAD_REQUEST",
                                            str(exc))
-        except ReproError as exc:
-            self.errors_total += 1
-            return protocol.error_response(
-                request_id, "OP_FAILED", f"{type(exc).__name__}: {exc}")
         except Exception as exc:
-            self.errors_total += 1
-            return protocol.error_response(
-                request_id, "INTERNAL", f"{type(exc).__name__}: {exc}")
+            return self._failure(request_id, exc)
         return protocol.ok_response(request_id, result)
+
+    def _failure(self, request_id: Optional[str],
+                 exc: Exception) -> Dict[str, Any]:
+        """The error frame for an operation that raised: ``OP_FAILED``
+        for a :class:`ReproError`, ``INTERNAL`` for anything else."""
+        self.errors_total += 1
+        code = "OP_FAILED" if isinstance(exc, ReproError) else "INTERNAL"
+        return protocol.error_response(
+            request_id, code, f"{type(exc).__name__}: {exc}")
 
     # -- connection handling ---------------------------------------------------
 
@@ -707,8 +707,7 @@ class TrimService:
             await self.start()
             if announce is not None:
                 announce(f"listening on {self.host}:{self.port} "
-                         f"(root {self.registry.root}, "
-                         f"{self.registry.shards} shard(s)/tenant)")
+                         f"(root {self.registry.root})")
             loop = asyncio.get_running_loop()
             with contextlib.suppress(NotImplementedError, RuntimeError):
                 loop.add_signal_handler(

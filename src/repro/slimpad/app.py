@@ -30,12 +30,9 @@ class SlimPadApplication:
 
     def __init__(self, mark_manager: MarkManager,
                  dmi: Optional[SlimPadDMI] = None,
-                 bus: Optional[EventBus] = None,
-                 shards: int = 1) -> None:
+                 bus: Optional[EventBus] = None) -> None:
         self.marks = mark_manager
-        # shards > 1 hash-partitions the pad's triple pool (ignored when
-        # a ready-made DMI is supplied).
-        self.dmi = dmi or SlimPadDMI(shards=shards)
+        self.dmi = dmi or SlimPadDMI()
         self.bus = bus
         self._pad: Optional[EntityObject] = None
         self.visible = True
@@ -95,13 +92,6 @@ class SlimPadApplication:
     def commit(self) -> bool:
         """Close a durable group boundary; no-op when durability is off."""
         return self.dmi.runtime.trim.commit()
-
-    def reshard(self, new_count: int, batch_subjects: int = 256,
-                wait: bool = True):
-        """Grow the pad's shard count live without closing it (see
-        :meth:`TrimManager.reshard <repro.triples.trim.TrimManager.reshard>`)."""
-        return self.dmi.runtime.trim.reshard(
-            new_count, batch_subjects=batch_subjects, wait=wait)
 
     def cache_stats(self) -> dict:
         """Read-path cache metrics for this pad's triple store — the

@@ -32,10 +32,8 @@ def _as_float(name: str, value) -> float:
 class SlimPadDMI:
     """Typed operations on SLIMPad's application data (Fig. 10)."""
 
-    def __init__(self, trim: Optional[TrimManager] = None,
-                 shards: int = 1) -> None:
-        self._runtime = DmiRuntime(EXTENDED_BUNDLE_SCRAP_SPEC, trim,
-                                   shards=shards)
+    def __init__(self, trim: Optional[TrimManager] = None) -> None:
+        self._runtime = DmiRuntime(EXTENDED_BUNDLE_SCRAP_SPEC, trim)
 
     @property
     def runtime(self) -> DmiRuntime:

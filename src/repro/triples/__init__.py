@@ -11,9 +11,6 @@ Public surface:
 - :class:`Batch`, :class:`UndoLog` — grouped changes and undo/redo
 - :class:`WriteAheadLog`, :class:`Durability`, :func:`recover` —
   crash-safe persistence (:mod:`repro.triples.wal`)
-- :class:`ShardedTripleStore`, :class:`ShardedDurability`,
-  :func:`recover_sharded` — hash-partitioned stores with two-phase
-  multi-shard commit (:mod:`repro.triples.sharded`)
 """
 
 from repro.triples.interned import InternedTripleStore
@@ -25,9 +22,6 @@ from repro.triples.namespaces import (
     NamespaceRegistry,
 )
 from repro.triples.query import Pattern, PlanStep, Query, Var
-from repro.triples.sharded import (ShardedDurability, ShardedRecoveryResult,
-                                   ShardedTripleStore, recover_sharded,
-                                   shard_of)
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, Change, UndoLog
 from repro.triples.trim import TrimManager
@@ -64,9 +58,4 @@ __all__ = [
     "RecoveryResult",
     "WriteAheadLog",
     "recover",
-    "ShardedTripleStore",
-    "ShardedDurability",
-    "ShardedRecoveryResult",
-    "recover_sharded",
-    "shard_of",
 ]

@@ -9,16 +9,9 @@ makes the counter a ready-made invalidation token, and this module turns
 it into a bounded result cache.
 
 Keying.  An entry is keyed on the canonical read — ``('select', s, p, v)``
-or a :meth:`~repro.triples.query.Query.cache_key` — and stamped with a
-*generation token* captured from the store:
-
-* subject-bound reads on a sharded store use
-  :meth:`~repro.triples.sharded.ShardedTripleStore.generation_of`, the
-  owning shard's counter, so a write to shard 2 never evicts entries
-  routed to shard 0;
-* unbound reads use :attr:`generation_vector`, the tuple of per-shard
-  counters (a one-tuple on plain stores) — any write anywhere changes it,
-  which is exactly as precise as a scatter-gather read can be.
+or a :meth:`~repro.triples.query.Query.cache_key` — and stamped with the
+store's :attr:`~repro.triples.store.TripleStore.generation` as its
+*token*, so any write invalidates every entry.
 
 Snapshot safety.  The token is read *before* the fill computes and again
 *after*; the entry is stored only when the two agree.  A bulk-load owner's
@@ -44,8 +37,6 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
-from repro.triples.triple import Resource
-
 __all__ = ["GenerationCache"]
 
 
@@ -60,8 +51,7 @@ class GenerationCache:
 
         cache = GenerationCache(store)
         result = cache.get(('select', s, p, v),
-                           lambda: store.select(subject=s, property=p, value=v),
-                           subject=s)
+                           lambda: store.select(subject=s, property=p, value=v))
         cache.stats()   # hits / misses / evictions / invalidations / ...
 
     The cache never serves a result whose token disagrees with the
@@ -96,36 +86,31 @@ class GenerationCache:
 
     # -- tokens ---------------------------------------------------------------
 
-    def _token(self, subject: Optional[Resource]) -> Optional[Hashable]:
-        """The invalidation stamp for a read routed by *subject*.
+    def _token(self) -> Optional[Hashable]:
+        """The invalidation stamp: the store's generation.
 
-        Subject-bound reads stamp with the owning shard's counter;
-        unbound reads stamp with the whole generation vector.  A store
-        exposing neither (a duck-typed stand-in) yields ``None`` and the
-        read is computed fresh every time.
+        Read through the store's read barrier, so a bulk owner asking
+        for a token flushes its pending inserts first and a memoized read
+        keeps read-your-writes semantics.  A store without a generation
+        (a duck-typed stand-in) yields ``None`` and the read is computed
+        fresh every time.
         """
         store = self._store
-        if subject is not None:
-            generation_of = getattr(store, "generation_of", None)
-            if generation_of is not None:
-                return generation_of(subject)
-        vector = getattr(store, "generation_vector", None)
-        if vector is not None:
-            return vector
+        barrier = getattr(store, "_read_barrier", None)
+        if barrier is not None:
+            barrier()
         return getattr(store, "generation", None)
 
     # -- the one entry point --------------------------------------------------
 
     def get(self, key: Hashable, compute: Callable[[], list],
-            subject: Optional[Resource] = None,
             copy: Callable[[list], list] = list) -> list:
         """Return the cached result for *key*, filling via *compute*.
 
-        *subject* routes the generation token (see :meth:`_token`);
         *copy* produces the caller-safe copy (``list`` for triple lists,
         a row-copying callable for query bindings).
         """
-        token = self._token(subject)
+        token = self._token()
         if token is None:
             with self._lock:
                 self._uncacheable += 1
@@ -146,7 +131,7 @@ class GenerationCache:
         started = perf_counter()
         result = compute()
         elapsed = perf_counter() - started
-        token_after = self._token(subject)
+        token_after = self._token()
         with self._lock:
             self._fill_seconds += elapsed
             if token_after != token:

@@ -652,26 +652,6 @@ class InternedTripleStore:
         """Monotonic mutation counter: bumps on every add and remove."""
         return self._generation
 
-    def generation_of(self, subject: Optional[Resource] = None) -> int:
-        """Read-barriered generation token (see
-        :meth:`TripleStore.generation_of`); the subject is ignored on an
-        unpartitioned store."""
-        self._read_barrier()
-        return self._generation
-
-    @property
-    def generation_vector(self) -> Tuple[int, ...]:
-        """One-tuple generation stamp (see
-        :attr:`TripleStore.generation_vector`)."""
-        self._read_barrier()
-        return (self._generation,)
-
-    @property
-    def sequence_ceiling(self) -> int:
-        """The next insertion-sequence number this store would hand out
-        (see :attr:`TripleStore.sequence_ceiling`)."""
-        return self._sequence
-
     def count(self, subject: Optional[Resource] = None,
               property: Optional[Resource] = None,
               value: Optional[Node] = None) -> int:

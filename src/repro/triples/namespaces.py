@@ -66,8 +66,8 @@ class NamespaceRegistry:
     Registering the same prefix twice with a different URI is an error;
     re-registering identically is a no-op (idempotent loads).
 
-    Thread-safe: parallel shard recovery registers each snapshot's
-    declarations into one shared registry from pool workers, so the
+    Thread-safe: recovery and XML loads register declarations into a
+    registry other threads may be using at the same time, so the
     check-then-act in :meth:`register` runs under an internal lock.
     Reads stay lock-free (dict reads are atomic; :meth:`__iter__`
     snapshots the value list).

@@ -802,41 +802,6 @@ class TripleStore:
         """
         return self._generation
 
-    def generation_of(self, subject: Optional[Resource] = None) -> int:
-        """The generation token governing reads routed by *subject*.
-
-        A plain store has a single counter, so the subject is ignored; a
-        sharded store overrides this to return the owning shard's
-        counter.  Unlike the raw :attr:`generation` property this goes
-        through the read barrier, so a bulk owner asking for a token
-        flushes pending inserts first — a memoized read keyed on the
-        token therefore keeps read-your-writes semantics.
-        """
-        self._read_barrier()
-        return self._generation
-
-    @property
-    def generation_vector(self) -> Tuple[int, ...]:
-        """Per-partition generation counters as an invalidation stamp.
-
-        A one-tuple here; :class:`~repro.triples.sharded.ShardedTripleStore`
-        returns one counter per shard so caches can invalidate
-        per-partition.  Goes through the read barrier like
-        :meth:`generation_of`.
-        """
-        self._read_barrier()
-        return (self._generation,)
-
-    @property
-    def sequence_ceiling(self) -> int:
-        """The next insertion-sequence number this store would hand out.
-
-        Strictly greater than the sequence of every triple ever inserted
-        (including pending bulk inserts).  A sharded store reads this per
-        shard after recovery to resynchronize its global sequence counter.
-        """
-        return self._sequence
-
     def count(self, subject: Optional[Resource] = None,
               property: Optional[Resource] = None,
               value: Optional[Node] = None) -> int:

@@ -24,12 +24,10 @@ import threading
 import weakref
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.errors import TransactionError
 from repro.triples import persistence
 from repro.triples.cache import GenerationCache
 from repro.triples.namespaces import NamespaceRegistry
 from repro.triples.query import Query
-from repro.triples.sharded import ShardedDurability, ShardedTripleStore
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, UndoLog
 from repro.triples.triple import (Literal, LiteralValue, Node, Resource,
@@ -102,13 +100,6 @@ class TrimManager:
     views) then run lock-free against the last-flushed snapshot and never
     force a mid-ingest index flush; each read iterates a snapshot of the
     index bucket it picks, so writers update buckets in place.
-
-    Pass ``shards=N`` (N > 1) to hash-partition the pool by subject
-    across N store instances (:mod:`repro.triples.sharded`): ingest fans
-    out per shard, subject-bound queries route to one shard, and durable
-    mode gives each shard its own WAL with two-phase commit across
-    multi-shard groups.  ``commit(subject=...)`` then durably commits
-    just that subject's shard, letting concurrent writers overlap fsyncs.
     """
 
     def __init__(self, namespaces: Optional[NamespaceRegistry] = None,
@@ -116,21 +107,14 @@ class TrimManager:
                  compact_every: int = 64,
                  commit_every: Optional[int] = None,
                  concurrent: bool = False,
-                 shards: int = 1,
                  cache: bool = True,
                  cache_entries: int = 1024,
                  delta_ratio: float = 0.5) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if shards > 1:
-            self.store: TripleStore = ShardedTripleStore(
-                shards, concurrent=concurrent)
-        else:
-            self.store = TripleStore(concurrent=concurrent)
+        self.store = TripleStore(concurrent=concurrent)
         self.namespaces = namespaces or NamespaceRegistry.with_defaults()
         self.ids = IdGenerator()
         self._undo: Optional[UndoLog] = None
-        self._durability: Optional[Union[Durability, ShardedDurability]] = None
+        self._durability: Optional[Durability] = None
         self._cache: Optional[GenerationCache] = \
             GenerationCache(self.store, max_entries=cache_entries) \
             if cache else None
@@ -206,9 +190,9 @@ class TrimManager:
                value: Optional[Node] = None) -> List[Triple]:
         """TRIM's selection query: fix any subset of fields.
 
-        Memoized against the store's generation stamp (per-shard when
-        sharded), so repeated selections of an unchanged region cost a
-        dict probe plus a list copy (see :mod:`repro.triples.cache`).
+        Memoized against the store's generation stamp, so repeated
+        selections of an unchanged store cost a dict probe plus a list
+        copy (see :mod:`repro.triples.cache`).
         """
         cache = self._cache
         if cache is None:
@@ -217,8 +201,7 @@ class TrimManager:
         return cache.get(
             ("select", subject, prop, value),
             lambda: self.store.select(subject=subject, property=prop,
-                                      value=value),
-            subject=subject)
+                                      value=value))
 
     def value_of(self, subject: Resource, prop: Resource) -> Optional[Node]:
         """The single value of *prop* on *subject* (None when absent),
@@ -258,9 +241,8 @@ class TrimManager:
         """Run a conjunctive :class:`~repro.triples.query.Query` (extension).
 
         Results are memoized on :meth:`Query.cache_key` plus the store's
-        generation vector — structurally equal queries share entries, and
-        any write anywhere invalidates (a conjunctive query can touch
-        every shard).  Returned binding dicts are caller-safe copies.
+        generation — structurally equal queries share entries, and any
+        write invalidates.  Returned binding dicts are caller-safe copies.
         """
         cache = self._cache
         if cache is None:
@@ -373,138 +355,56 @@ class TrimManager:
         ids advance the id generator, like :meth:`load`.  *commit_every*
         turns on auto-grouping (see :class:`~repro.triples.wal.Durability`).
         Idempotent: returns the existing handle when already enabled.
-
-        A sharded TRIM gets a :class:`ShardedDurability`: one WAL
-        directory per shard under *directory* plus a coordinator
-        meta-WAL for multi-shard two-phase commit.
         """
         if self._durability is not None:
             return self._durability
-        if isinstance(self.store, ShardedTripleStore):
-            self._durability = ShardedDurability(self.store, directory,
-                                                 namespaces=self.namespaces,
-                                                 compact_every=compact_every,
-                                                 fsync=fsync,
-                                                 commit_every=commit_every,
-                                                 delta_ratio=delta_ratio)
-        else:
-            self._durability = Durability(self.store, directory,
-                                          namespaces=self.namespaces,
-                                          compact_every=compact_every,
-                                          fsync=fsync,
-                                          commit_every=commit_every,
-                                          delta_ratio=delta_ratio)
+        self._durability = Durability(self.store, directory,
+                                      namespaces=self.namespaces,
+                                      compact_every=compact_every,
+                                      fsync=fsync,
+                                      commit_every=commit_every,
+                                      delta_ratio=delta_ratio)
         for resource in self.store.resources():
             self.ids.observe(resource.uri)
         return self._durability
 
     @property
-    def durability(self) -> Optional[Union[Durability, ShardedDurability]]:
+    def durability(self) -> Optional[Durability]:
         """The attached durability handle, if durable mode is on."""
         return self._durability
 
     def recovery_stats(self) -> Dict[str, Any]:
         """What the last durable open recovered, and how long each stage
-        took.
-
-        Unsharded: one dict of volumes (triples, delta/WAL replay
-        counts) plus ``stage_seconds`` with ``snapshot_s``/``deltas_s``/
-        ``wal_s``.  Sharded: a ``shards`` list of those per-shard dicts
-        plus aggregated ``stage_seconds``.  Empty when not durable or
-        when the directory was fresh (nothing recovered).
+        took: volumes (triples, delta/WAL replay counts) plus
+        ``stage_seconds`` with ``snapshot_s``/``deltas_s``/``wal_s``.
+        Empty when not durable or when the directory was fresh (nothing
+        recovered).
         """
         dur = self._durability
         if dur is None:
             return {}
-        if isinstance(dur, ShardedDurability):
-            shards = [_recovery_stats_dict(result)
-                      for result in dur.recovered]
-            totals: Dict[str, float] = {}
-            for entry in shards:
-                for stage, seconds in entry.get("stage_seconds", {}).items():
-                    totals[stage] = round(totals.get(stage, 0.0) + seconds, 6)
-            if not any(shards):
-                return {}
-            return {"shards": shards, "stage_seconds": totals}
         return _recovery_stats_dict(dur.recovered)
 
-    @property
-    def shards(self) -> int:
-        """How many shards partition the store (1 = unsharded)."""
-        store = self.store
-        if isinstance(store, ShardedTripleStore):
-            return store.shard_count
-        return 1
-
-    @property
-    def map_version(self) -> int:
-        """The active shard-map version (1 = the implicit legacy map)."""
-        store = self.store
-        if isinstance(store, ShardedTripleStore):
-            return store.map_version
-        return 1
-
-    def reshard(self, new_count: int, batch_subjects: int = 256,
-                wait: bool = True):
-        """Grow the shard count live (see
-        :meth:`ShardedDurability.reshard`).
-
-        A durable sharded TRIM migrates subjects under 2PC with the new
-        map persisted in the meta-WAL; a purely in-memory sharded TRIM
-        rebalances in place.  Raises :class:`TransactionError` on an
-        unsharded TRIM — shard count is chosen at construction
-        (``TrimManager(shards=N)``).
-        """
-        if isinstance(self._durability, ShardedDurability):
-            return self._durability.reshard(new_count,
-                                            batch_subjects=batch_subjects,
-                                            wait=wait)
-        store = self.store
-        if isinstance(store, ShardedTripleStore):
-            return store.reshard(new_count, batch_subjects=batch_subjects)
-        raise TransactionError(
-            "reshard() needs a sharded TRIM — construct with "
-            "TrimManager(shards=N)")
-
-    def commit(self, subject: Union[str, Resource, None] = None) -> bool:
+    def commit(self) -> bool:
         """Close a durable group (fsync boundary); no-op when not durable.
 
         Call at user-level operation boundaries — everything since the
         previous commit becomes one atomic, crash-recoverable group.
         Returns whether anything was committed.
-
-        On a sharded TRIM, passing *subject* durably commits only the
-        shard owning that subject — the partitioned fast path that lets
-        concurrent writers on different shards overlap their fsyncs.  An
-        unsharded TRIM ignores *subject* and commits everything.
         """
         if self._durability is None:
             return False
-        if subject is not None and isinstance(self._durability,
-                                              ShardedDurability):
-            if isinstance(subject, str):
-                subject = Resource(subject)
-            return self._durability.commit_for(subject)
         return self._durability.commit()
 
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Detach durability, if enabled (uncommitted changes are dropped).
 
         Idempotent and safe from ``__del__``-time teardown: repeated
         calls, and calls racing interpreter shutdown, are no-ops.
-        ``wait=False`` skips joining the sharded store's pool threads —
-        finalizers must use it (see the :class:`ShardedTripleStore` pool
-        docstring for the GC ``_shutdown_locks_lock`` deadlock a
-        finalizer-time join can hit).
         """
         durability, self._durability = self._durability, None
-        if isinstance(durability, ShardedDurability):
-            durability._close(join=wait)
-        elif durability is not None:
+        if durability is not None:
             durability.close()
-        store = self.store
-        if isinstance(store, ShardedTripleStore):
-            store.close(wait=wait)
 
     def __enter__(self) -> "TrimManager":
         """Context-manager entry: the manager itself.
@@ -533,7 +433,7 @@ class TrimManager:
 
     def __del__(self) -> None:
         try:
-            self.close(wait=False)
+            self.close()
         except BaseException:
             pass
 

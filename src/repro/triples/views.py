@@ -16,9 +16,7 @@ maintained *incrementally* from the store's 3-arg change-listener stream:
   only walks the *new* frontier — a depth-relaxation pass when
   ``max_depth`` is set, since a new edge can shorten the path to an
   already-visited resource and pull previously-out-of-range nodes in;
-* an insert whose subject is unreachable is an O(1) set-probe no-op —
-  which is what fixes the sharded-store staleness problem, where the old
-  generation-sum check re-ran the whole closure on any write anywhere;
+* an insert whose subject is unreachable is an O(1) set-probe no-op;
 * a removal of a triple *in* the closure marks the view dirty and the
   next read recomputes from scratch (a cut edge can strand an arbitrary
   subgraph, so there is no cheap incremental answer);

@@ -29,19 +29,8 @@ Record framing::
     record := u32 payload-length | u32 crc32(payload) | payload
     payload:= 'A'|'R' u64 sequence  str subject  str property  value
             | 'C' u64 group-number
-            | 'P' u64 txn  u32 participant-count  u64 epoch
     value  := 'r' str uri | 's'|'i'|'f'|'b' str encoded-literal
     str    := u32 length | utf-8 bytes
-
-``'P'`` is the two-phase-commit *prepare* record (DESIGN.md §11): a
-multi-shard batch writes the group's changes plus a prepare record to
-every participating shard's WAL (durably, but without the ``'C'``
-boundary), then records the commit/abort decision in the coordinator's
-meta-WAL, then *fences* each participant with a normal ``'C'``.  A WAL
-whose tail is a prepared-but-unfenced group is in doubt: plain
-:func:`recover` discards it (matching a crash before the decision), and
-:class:`~repro.triples.sharded.ShardedDurability` consults the meta-WAL
-first and finishes the fence when the decision was commit.
 
 Group numbers are monotonic and survive compaction: the snapshot header
 records the group it covers, and replay skips any logged group at or
@@ -76,6 +65,7 @@ store lock -> Durability meta lock -> WAL lock, never reversed.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import threading
 import time
@@ -143,27 +133,12 @@ def encode_commit(group: int) -> bytes:
     return b"C" + _U64.pack(group)
 
 
-class PrepareInfo(NamedTuple):
-    """The payload of a 2PC prepare record."""
-
-    txn: int            #: coordinator transaction number
-    shard_count: int    #: how many shards participate in the transaction
-    epoch: int          #: store incarnation (guards against stale layouts)
-
-
-def encode_prepare(info: PrepareInfo) -> bytes:
-    """Serialize a 2PC prepare record payload."""
-    return (b"P" + _U64.pack(info.txn) + _U32.pack(info.shard_count)
-            + _U64.pack(info.epoch))
-
-
 class WalRecord(NamedTuple):
-    """One decoded WAL record: a change, a group boundary, or a prepare."""
+    """One decoded WAL record: a change or a group boundary."""
 
-    kind: str                      #: ``'change'``, ``'commit'``, ``'prepare'``
+    kind: str                      #: ``'change'`` or ``'commit'``
     change: Optional[Change]       #: set for change records
     group: Optional[int]           #: set for commit records
-    prepare: Optional[PrepareInfo] = None  #: set for prepare records
 
 
 def decode_record(payload: bytes) -> WalRecord:
@@ -186,14 +161,6 @@ def _decode_record(payload: bytes) -> WalRecord:
             raise PersistenceError("bad WAL commit record length")
         (group,) = _U64.unpack_from(payload, 1)
         return WalRecord("commit", None, group)
-    if kind == b"P":
-        if len(payload) != 1 + _U64.size + _U32.size + _U64.size:
-            raise PersistenceError("bad WAL prepare record length")
-        (txn,) = _U64.unpack_from(payload, 1)
-        (shard_count,) = _U32.unpack_from(payload, 1 + _U64.size)
-        (epoch,) = _U64.unpack_from(payload, 1 + _U64.size + _U32.size)
-        return WalRecord("prepare", None, None,
-                         PrepareInfo(txn, shard_count, epoch))
     if kind not in (b"A", b"R"):
         raise PersistenceError(f"unknown WAL record kind: {kind!r}")
     (sequence,) = _U64.unpack_from(payload, 1)
@@ -219,14 +186,6 @@ def _decode_record(payload: bytes) -> WalRecord:
 
 # -- scanning ----------------------------------------------------------------
 
-class PreparedGroup(NamedTuple):
-    """A prepared-but-unfenced 2PC group at the tail of a WAL."""
-
-    info: PrepareInfo           #: txn / participant count / epoch
-    changes: List[Change]       #: the group's changes (up to the P record)
-    end_offset: int             #: byte offset just past the prepare record
-
-
 class WalScan(NamedTuple):
     """Result of reading a WAL file up to its last valid record."""
 
@@ -236,7 +195,6 @@ class WalScan(NamedTuple):
     total_bytes: int            #: file size as found on disk
     last_group: int             #: highest committed group number (0 if none)
     committed_end: int          #: byte offset of the last commit record's end
-    prepared: Optional[PreparedGroup] = None  #: in-doubt tail group, if any
 
 
 def scan_wal(path: str) -> WalScan:
@@ -263,10 +221,6 @@ def scan_wal(path: str) -> WalScan:
     valid_end = offset
     committed_end = offset
     last_group = 0
-    # (info, change-count-at-mark, end-offset) of the latest prepare record
-    # since the last commit; a following 'C' resolves it (the group is just
-    # committed), so only a *tail* prepare surfaces as in-doubt.
-    prepare_mark: Optional[Tuple[PrepareInfo, int, int]] = None
     while offset + _FRAME.size <= total:
         length, crc = _FRAME.unpack_from(data, offset)
         start = offset + _FRAME.size
@@ -283,25 +237,14 @@ def scan_wal(path: str) -> WalScan:
         if record.kind == "commit":
             groups.append((record.group, pending))
             pending = []
-            prepare_mark = None
             last_group = record.group
             committed_end = end
-        elif record.kind == "prepare":
-            prepare_mark = (record.prepare, len(pending), end)
         else:
             pending.append(record.change)
         offset = end
         valid_end = end
-    prepared = None
-    if prepare_mark is not None:
-        info, n_changes, mark_end = prepare_mark
-        # Changes recorded after the prepare (protocol violation or torn
-        # session) stay in `pending` and are discarded like any other
-        # uncommitted tail; the prepared group is exactly what the prepare
-        # record fenced in.
-        prepared = PreparedGroup(info, pending[:n_changes], mark_end)
     return WalScan(groups, pending, valid_end, total, last_group,
-                   committed_end, prepared)
+                   committed_end)
 
 
 # -- delta segments ----------------------------------------------------------
@@ -455,12 +398,6 @@ class WriteAheadLog:
         self._group = scan.last_group
         self._dirty = 0
         self._buffer: List[bytes] = []
-        # 2PC staging: how many leading buffer entries (and how many bytes)
-        # the last prepare() wrote durably to disk.  Those frames stay in
-        # the buffer until fence()/abort_prepared() resolves them, so a
-        # failed fence can be retried without re-reading the file.
-        self._prepared_count = 0
-        self._prepared_bytes = 0
         self._file: Optional[IO[bytes]] = None
         try:
             if scan.committed_end == 0:
@@ -496,121 +433,12 @@ class WriteAheadLog:
         """
         return self._sync_count
 
-    @property
-    def prepared(self) -> bool:
-        """Whether a 2PC-prepared group is awaiting its fence/abort."""
-        return self._prepared_count > 0
-
     def append(self, change: Change) -> None:
         """Buffer one add/remove record (written by :meth:`commit`)."""
         with self._lock:
             self._require_open()
             self._buffer.append(_frame(encode_change(change)))
             self._dirty += 1
-
-    # -- two-phase commit (multi-shard groups; see ShardedDurability) --------
-
-    def prepare(self, info: PrepareInfo) -> bool:
-        """Phase 1: durably stage the current group behind a prepare record.
-
-        Writes every buffered change plus a ``'P'`` record carrying
-        *info*, flushes, and fsyncs — but writes **no** commit boundary,
-        so the group stays invisible to plain recovery.  The buffered
-        frames are kept until :meth:`fence` or :meth:`abort_prepared`
-        resolves the transaction, which makes a failed fence retryable.
-        Returns ``False`` (writing nothing) when the buffer is empty.
-
-        On an I/O error the file is rewound to the last durable group and
-        the buffer is kept, exactly like a failed :meth:`commit`.
-        """
-        with self._lock:
-            file = self._require_open()
-            if self._prepared_count:
-                raise PersistenceError(
-                    f"WAL {self.path} already holds a prepared group")
-            if not self._buffer:
-                return False
-            staged = list(self._buffer)
-            data = b"".join(staged) + _frame(encode_prepare(info))
-            try:
-                file.write(data)
-                file.flush()
-                if self._fsync:
-                    os.fsync(file.fileno())
-                    self._sync_count += 1
-            except OSError as exc:
-                self._rewind()
-                raise PersistenceError(
-                    f"cannot prepare WAL group in {self.path}: {exc}") from exc
-            self._prepared_count = len(staged)
-            self._prepared_bytes = len(data)
-            return True
-
-    def fence(self) -> int:
-        """Phase 2: commit the prepared group with a boundary record.
-
-        Appends the ``'C'`` record (one write + flush + fsync), bumps the
-        group counter, and drops the prepared frames from the buffer —
-        changes appended *after* the prepare stay buffered for the next
-        group.  On an I/O error the torn boundary bytes are truncated
-        away but the prepared group stays on disk and staged, so the
-        fence can be retried; the decision record in the coordinator's
-        meta-WAL — not this boundary — is what makes the transaction
-        durable, and recovery re-fences from it.
-        """
-        with self._lock:
-            file = self._require_open()
-            if not self._prepared_count:
-                raise PersistenceError(
-                    f"no prepared group to fence in WAL {self.path}")
-            group = self._group + 1
-            data = _frame(encode_commit(group))
-            prepared_end = self._good_end + self._prepared_bytes
-            try:
-                file.write(data)
-                file.flush()
-                if self._fsync:
-                    os.fsync(file.fileno())
-                    self._sync_count += 1
-            except OSError as exc:
-                # Drop only the torn boundary; keep the prepared bytes.
-                try:
-                    file.seek(prepared_end)
-                    file.truncate(prepared_end)
-                except OSError:
-                    self._file = None
-                    try:
-                        file.close()
-                    except OSError:
-                        pass
-                raise PersistenceError(
-                    f"cannot fence WAL group in {self.path}: {exc}") from exc
-            self._good_end = prepared_end + len(data)
-            self._group = group
-            del self._buffer[:self._prepared_count]
-            self._dirty -= self._prepared_count
-            self._prepared_count = 0
-            self._prepared_bytes = 0
-            return group
-
-    def abort_prepared(self) -> None:
-        """Roll a prepared group back off the disk (decision was abort).
-
-        Truncates the file to the end of the last durable group; the
-        group's frames stay buffered, so the caller may still commit or
-        prepare them again later.  Fails closed when the truncate fails,
-        like :meth:`_rewind`.
-        """
-        with self._lock:
-            if not self._prepared_count:
-                return
-            self._require_open()
-            self._prepared_count = 0
-            self._prepared_bytes = 0
-            self._rewind()
-            if self._file is None:
-                raise PersistenceError(
-                    f"WAL {self.path} failed closed aborting a prepared group")
 
     def commit(self) -> int:
         """Close the current group: one write + flush + fsync for all of it.
@@ -629,10 +457,6 @@ class WriteAheadLog:
         """
         with self._lock:
             file = self._require_open()
-            if self._prepared_count:
-                raise PersistenceError(
-                    f"WAL {self.path} holds a prepared group; "
-                    f"fence or abort it before committing")
             if not self._buffer:
                 return self._group
             group = self._group + 1
@@ -676,8 +500,6 @@ class WriteAheadLog:
                 self._group = max(self._group, group)
             self._buffer.clear()
             self._dirty = 0
-            self._prepared_count = 0
-            self._prepared_bytes = 0
 
     def reset_to_header(self) -> None:
         """Truncate the on-disk log to its magic header, *keeping* the
@@ -687,17 +509,11 @@ class WriteAheadLog:
         committed group into a durable delta segment.  It is safe
         precisely because of the group-commit write discipline: the
         on-disk body holds only committed groups (:meth:`append` merely
-        buffers; :meth:`commit`/:meth:`prepare` write), so dropping the
-        body loses nothing that is not already in the delta log.  A
-        staged 2PC prepare *is* on disk without a boundary, so callers
-        must resolve it first — this method refuses while one is held.
+        buffers; :meth:`commit` writes), so dropping the body loses
+        nothing that is not already in the delta log.
         """
         with self._lock:
             file = self._require_open()
-            if self._prepared_count:
-                raise PersistenceError(
-                    f"WAL {self.path} holds a prepared group; "
-                    f"cannot reset to header")
             try:
                 file.seek(len(MAGIC))
                 file.truncate(len(MAGIC))
@@ -719,12 +535,9 @@ class WriteAheadLog:
             if self._file is None:
                 return
             try:
-                # A prepared prefix is already on disk; only the frames
-                # appended after the prepare still need writing.
-                tail = self._buffer[self._prepared_count:]
+                data = b"".join(self._buffer)
                 self._buffer.clear()
-                if tail:
-                    data = b"".join(tail)
+                if data:
                     try:
                         self._file.write(data)
                     except OSError as exc:
@@ -886,6 +699,39 @@ class _DeltaLog:
 
 # -- recovery ----------------------------------------------------------------
 
+#: Files and subdirectories only the retired subject-hash sharded layout
+#: wrote: a coordinator log beside ``shard-000``, ``shard-001``, ...
+_SHARDED_META_FILE = "meta.wal"
+_SHARDED_DIR_RE = re.compile(r"^shard-\d{3}$")
+
+
+def _refuse_sharded_layout(directory: str) -> None:
+    """Raise :class:`PersistenceError` if *directory* holds a sharded
+    layout, which this module cannot read; touches nothing on disk.
+
+    Opening one as a plain directory would recover nothing and then log
+    new writes beside shards that are never read again.
+    """
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise PersistenceError(f"cannot list {directory}: {exc}") from exc
+    if _SHARDED_META_FILE not in names and not any(
+            _SHARDED_DIR_RE.match(name)
+            and os.path.isdir(os.path.join(directory, name))
+            for name in names):
+        return
+    raise PersistenceError(
+        f"{directory} holds a sharded store ({_SHARDED_META_FILE} or "
+        f"shard-NNN/ subdirectories), which is no longer supported. "
+        f"To migrate it, run `repro shards split {directory} --shards 1` "
+        f"with the previous release, then move the contents of "
+        f"{os.path.join(directory, 'shard-000')} up into {directory} "
+        f"and delete {os.path.join(directory, _SHARDED_META_FILE)}")
+
+
 class RecoveryResult(NamedTuple):
     """What :func:`recover` reconstructed and how."""
 
@@ -923,8 +769,10 @@ def recover(directory: str,
     recovered triples are loaded into it.  The snapshot's namespace
     declarations are registered into *namespaces* when given, else into a
     fresh registry; either way the populated registry is returned in the
-    result, so nothing recovered is dropped.
+    result, so nothing recovered is dropped.  A directory in the retired
+    sharded layout raises :class:`PersistenceError`.
     """
+    _refuse_sharded_layout(directory)
     store = store if store is not None else TripleStore()
     if len(store):
         raise PersistenceError("recovery target store must be empty")
@@ -1051,6 +899,7 @@ class Durability:
         # store lock -> this meta lock -> WAL lock, never reversed.
         self._meta_lock = threading.Lock()
         self._commits = 0
+        _refuse_sharded_layout(directory)
         os.makedirs(directory, exist_ok=True)
         self._snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
         wal_path = os.path.join(directory, WAL_FILE)
@@ -1140,16 +989,6 @@ class Durability:
         """Group-commit fsyncs issued by the underlying WAL."""
         return self._wal.sync_count
 
-    @property
-    def map_version(self) -> int:
-        """Shard-map version: always 1 for an unsharded store.
-
-        Mirrors :attr:`ShardedDurability.map_version
-        <repro.triples.sharded.ShardedDurability.map_version>` so
-        callers (replay capture, CLI info) read one attribute on either
-        handle."""
-        return 1
-
     def commit(self) -> bool:
         """Close the current group; ``False`` when nothing changed.
 
@@ -1206,9 +1045,7 @@ class Durability:
         The segment is fsynced *before* the WAL truncate, so a crash in
         between leaves covered groups in the WAL that recovery skips by
         number.  Returns ``False`` without writing when there is nothing
-        new to fold or when a 2PC-prepared group is staged (the prepare
-        bytes live in the WAL body; folding around them must wait for
-        the fence/abort — the next compaction picks the groups up).
+        new to fold.
         """
         if self._closed:
             raise PersistenceError("durability handle is closed")
@@ -1217,12 +1054,10 @@ class Durability:
 
     def _delta_compact_meta_locked(self) -> bool:
         wal = self._wal
-        # Hold the WAL lock across scan + append + truncate so no commit,
-        # prepare, or fence interleaves with the fold (meta -> WAL is the
-        # global lock order; the store lock is never needed here).
+        # Hold the WAL lock across scan + append + truncate so no commit
+        # interleaves with the fold (meta -> WAL is the global lock order;
+        # the store lock is never needed here).
         with wal._lock:
-            if wal._prepared_count:
-                return False
             scan = scan_wal(wal.path)
             fresh = [(group, changes) for group, changes in scan.groups
                      if group > self._covered_group]

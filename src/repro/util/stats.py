@@ -1,8 +1,8 @@
 """Small latency-statistics helpers shared by the replay harness, the
 service registry, and the benchmark suite.
 
-One canonical p50/p95/p99 implementation: the resharding and service
-benches used to carry private copies, and the recovery work (cold-open
+One canonical p50/p95/p99 implementation: the service benches used to
+carry private copies, and the recovery work (cold-open
 latency, per-op replay histograms) would have added two more.  The
 benches run with ``PYTHONPATH=src``, so hoisting the helper here gives
 every consumer — library code and harness code alike — the same

@@ -3,7 +3,7 @@
 The cache contract: a hit is indistinguishable from a fresh read — any
 mutation that could change an answer invalidates its entries before the
 next lookup, including writes raced across ``bulk()`` scopes,
-snapshot-isolation reads mid-ingest, and 2PC multi-shard commits.  The
+snapshot-isolation reads mid-ingest, and durable commits.  The
 incremental-view contract: after any op sequence, a listener-maintained
 view equals a fresh closure recompute.
 """
@@ -17,24 +17,10 @@ import pytest
 import repro.triples.views as views_module
 from repro.triples.cache import GenerationCache
 from repro.triples.query import Pattern, Query, Var
-from repro.triples.sharded import ShardedTripleStore
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, triple
 from repro.triples.views import View, reachable_resources, reachable_triples
-
-
-def _subjects_on_distinct_shards(store, count):
-    """Subject uris routed to *count* different shards, one each."""
-    found = {}
-    i = 0
-    while len(found) < count:
-        uri = f"subject-{i}"
-        shard = store.shard_index(Resource(uri))
-        if shard not in found:
-            found[shard] = uri
-        i += 1
-    return [found[shard] for shard in sorted(found)]
 
 
 class TestSelectCacheBasics:
@@ -161,65 +147,12 @@ class TestQueryCache:
         assert trim.query(q)[0]["b"] == Resource("b0")
 
     def test_query_invalidated_by_any_write(self):
-        trim = TrimManager(shards=4)
+        trim = TrimManager()
         q = Query([Pattern(Var("b"), Resource("p"), Var("v"))])
         trim.create("s0", "p", 1)
         assert len(trim.query(q)) == 1
-        trim.create("s1", "p", 2)                # any shard invalidates
+        trim.create("s1", "p", 2)                # any write invalidates
         assert len(trim.query(q)) == 2
-
-
-class TestShardedGenerationVector:
-    def test_generation_vector_slots(self):
-        trim = TrimManager(shards=4)
-        store = trim.store
-        a, b = _subjects_on_distinct_shards(store, 2)
-        before = store.generation_vector
-        trim.create(a, "p", 1)
-        after = store.generation_vector
-        changed = [i for i in range(4) if before[i] != after[i]]
-        assert changed == [store.shard_index(Resource(a))]
-        assert store.generation_of(Resource(b)) == \
-            before[store.shard_index(Resource(b))]
-
-    def test_unrelated_shard_write_keeps_entries(self):
-        trim = TrimManager(shards=4)
-        a, b = _subjects_on_distinct_shards(trim.store, 2)
-        trim.create(a, "p", 1)
-        trim.create(b, "p", 2)
-        trim.select(subject=Resource(a))         # fill, routed to a's shard
-        trim.create(b, "q", 3)                   # write lands on b's shard
-        trim.select(subject=Resource(a))
-        stats = trim.cache_stats()["select_cache"]
-        assert stats["hits"] == 1 and stats["invalidations"] == 0
-
-    def test_unbound_select_invalidated_by_any_shard(self):
-        trim = TrimManager(shards=4)
-        a, b = _subjects_on_distinct_shards(trim.store, 2)
-        trim.create(a, "p", 1)
-        assert len(trim.select(prop=Resource("p"))) == 1
-        trim.create(b, "p", 2)
-        assert len(trim.select(prop=Resource("p"))) == 2
-        assert trim.cache_stats()["select_cache"]["invalidations"] == 1
-
-    def test_2pc_commit_bumps_only_written_slots(self, tmp_path):
-        trim = TrimManager(shards=4, durable=str(tmp_path / "pool"))
-        store = trim.store
-        a, b, c = _subjects_on_distinct_shards(store, 3)
-        trim.create(c, "p", 0)
-        trim.commit()
-        trim.select(subject=Resource(c))         # resident entry on c's shard
-        before = store.generation_vector
-        trim.create(a, "p", 1)                   # multi-shard group...
-        trim.create(b, "p", 2)
-        assert trim.commit()                     # ...two-phase committed
-        after = store.generation_vector
-        changed = {i for i in range(4) if before[i] != after[i]}
-        assert changed == {store.shard_index(Resource(a)),
-                           store.shard_index(Resource(b))}
-        trim.select(subject=Resource(c))         # survived the 2PC commit
-        assert trim.cache_stats()["select_cache"]["hits"] == 1
-        trim.close()
 
 
 class TestCacheAcrossBulkScopes:
@@ -244,8 +177,7 @@ class TestCacheAcrossBulkScopes:
             store.add(triple("s", "p", 1))       # writer races the fill
             return result
 
-        cache.get(("select", Resource("s"), None, None), racing_compute,
-                  subject=Resource("s"))
+        cache.get(("select", Resource("s"), None, None), racing_compute)
         stats = cache.stats()
         assert stats["racy_fills_skipped"] == 1 and stats["entries"] == 0
 
@@ -336,32 +268,6 @@ class TestIncrementalViewMaintenance:
         expected = reachable_triples(store, Resource("root"), max_depth=2)
         assert set(view.triples()) == set(expected)
 
-    def test_view_on_sharded_store_ignores_unrelated_writes(self):
-        store = ShardedTripleStore(4)
-        root, other = _subjects_on_distinct_shards(store, 2)
-        store.add(triple(root, "name", "mine"))
-        view = View(store, Resource(root))
-        view.triples()
-        calls = []
-        originals = [shard.select for shard in store.shards]
-
-        def wrap(original):
-            def counting(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-            return counting
-
-        for shard, original in zip(store.shards, originals):
-            shard.select = wrap(original)
-        try:
-            store.add(triple(other, "name", "unrelated"))
-            assert len(view.triples()) == 1
-            # The unrelated-shard write was an O(1) probe: no traversal.
-            assert calls == []
-        finally:
-            for shard, original in zip(store.shards, originals):
-                del shard.select
-
     def test_event_overflow_forces_recompute(self, monkeypatch):
         monkeypatch.setattr(views_module, "EVENT_QUEUE_LIMIT", 4)
         store = TripleStore()
@@ -408,15 +314,12 @@ class TestRandomizedViewParity:
         {},
         {"max_depth": 2},
         {"follow_properties": [Resource("p0"), Resource("p1")]},
-        {"shards": 4},
     ])
     def test_incremental_view_matches_fresh_recompute(self, seed, config):
         """Random op sequences: the listener-maintained closure equals a
-        fresh BFS after every read — for plain and sharded stores, with
-        and without depth bounds and property filters."""
-        config = dict(config)
-        shards = config.pop("shards", None)
-        store = ShardedTripleStore(shards) if shards else TripleStore()
+        fresh BFS after every read, with and without depth bounds and
+        property filters."""
+        store = TripleStore()
         rng = random.Random(seed)
         resources = [Resource(f"n{i}") for i in range(10)]
         properties = [Resource(f"p{i}") for i in range(3)]
@@ -467,15 +370,15 @@ class TestCacheStatsConcurrency:
 
     The service's ``admin.stats`` / ``trim.stats`` ops call
     ``cache_stats()`` from executor threads while the tenant's writer
-    thread commits (under sharding, a 2PC commit) — the snapshot must
+    thread commits durably — the snapshot must
     be internally consistent and must never lose a concurrently
     registered view (the ``_views`` list is rebuilt by both ``view()``
     and ``cache_stats()``; pre-lock, that read-modify-write could drop
     a registration).
     """
 
-    def test_counter_snapshot_is_consistent_under_2pc_commits(self, tmp_path):
-        trim = TrimManager(durable=str(tmp_path), shards=4, concurrent=True)
+    def test_counter_snapshot_is_consistent_under_commits(self, tmp_path):
+        trim = TrimManager(durable=str(tmp_path), concurrent=True)
         stop = threading.Event()
         failures = []
 
@@ -483,7 +386,7 @@ class TestCacheStatsConcurrency:
             i = 0
             while not stop.is_set():
                 trim.create(f"s{i % 17}", "p", i)
-                trim.commit()  # multi-shard durable group (2PC)
+                trim.commit()  # one durable group per write
                 i += 1
 
         def reader():

@@ -1,12 +1,11 @@
 """Deterministic replay: bundle schema, capture, byte-identical re-runs.
 
-The contract under test, per acceptance criteria: a crash captured once
-(a 2PC coordinator death from the ``tests/test_sharding.py`` matrix, or
-a WAL kill point from ``tests/test_triples_wal.py``) becomes a bundle
-that two *independent* replays re-execute to the same recovered store —
-same digest as each other and as the original run's recorded outcome.
-The schema half: malformed, wrong-version, and oversized-payload
-bundles are rejected before anything executes.
+The contract under test: a crash captured once (a WAL kill point from
+``tests/test_triples_wal.py``) becomes a bundle that two *independent*
+replays re-execute to the same recovered store — same digest as each
+other and as the original run's recorded outcome.  The schema half:
+malformed, wrong-version, oversized-payload, and sharded-store bundles
+are rejected before anything executes.
 """
 
 import json
@@ -20,18 +19,18 @@ from repro.replay import (BUNDLE_VERSION, MAX_TEXT, CaptureTap, load_bundle,
 from repro.replay.bundle import (MAX_INTERLEAVE, REDACTED, decode_change,
                                  decode_node, encode_change, encode_node,
                                  redact)
-from repro.replay.scenarios import capture_2pc_crash, capture_wal_kill
+from repro.replay.scenarios import capture_wal_kill
 from repro.triples.triple import Literal, Resource, Triple
 from repro.triples.trim import TrimManager
 
 
-def _minimal(shards=1, **overrides):
+def _minimal(**overrides):
     """The smallest valid bundle document, with optional field overrides."""
     bundle = {
         "version": BUNDLE_VERSION,
         "kind": "trim-replay",
-        "config": {"shards": shards, "compact_every": 64,
-                   "commit_every": None, "fsync": False},
+        "config": {"compact_every": 64, "commit_every": None,
+                   "fsync": False},
         "seeds": {},
         "interleave": [],
         "ops": [],
@@ -111,27 +110,27 @@ class TestBundleSchema:
         with pytest.raises(BundleError, match="interleave"):
             validate_bundle(bundle)
 
-    def test_crash_requires_sharding(self):
+    def test_crash_op_rejected_as_sharded(self):
+        """A 'crash' op killed a sharded store's two-phase commit."""
         op = {"op": "crash", "stage": "decided", "index": None}
-        with pytest.raises(BundleError, match="shards > 1"):
-            validate_bundle(_minimal(shards=1, ops=[op]))
-        assert validate_bundle(_minimal(shards=4, ops=[op]))
+        with pytest.raises(BundleError, match="no longer replayable"):
+            validate_bundle(_minimal(ops=[op]))
 
     def test_kill_requires_single_store(self):
         op = {"op": "kill", "offset": 12}
-        with pytest.raises(BundleError, match="shards == 1"):
-            validate_bundle(_minimal(shards=4, ops=[op]))
-        assert validate_bundle(_minimal(shards=1, ops=[op]))
+        sharded = _minimal(ops=[op])
+        sharded["config"]["shards"] = 4
+        with pytest.raises(BundleError, match="no longer replayable"):
+            validate_bundle(sharded)
+        assert validate_bundle(_minimal(ops=[op]))
+        single = _minimal(ops=[op])
+        single["config"]["shards"] = 1   # as older captures recorded it
+        assert validate_bundle(single)
 
     def test_terminal_op_must_be_last(self):
         ops = [{"op": "kill", "offset": 12}, {"op": "commit"}]
         with pytest.raises(BundleError, match="final op"):
-            validate_bundle(_minimal(shards=1, ops=ops))
-
-    def test_unknown_crash_stage_rejected(self):
-        op = {"op": "crash", "stage": "quorum", "index": None}
-        with pytest.raises(BundleError, match="stage"):
-            validate_bundle(_minimal(shards=4, ops=[op]))
+            validate_bundle(_minimal(ops=ops))
 
     def test_bad_outcome_digest_rejected(self):
         with pytest.raises(BundleError, match="sha256"):
@@ -152,7 +151,7 @@ class TestBundleSchema:
 
     def test_meta_is_redacted_on_assembly(self):
         bundle = make_bundle(
-            {"shards": 1}, [],
+            {}, [],
             meta={"host": "ci-7", "api_token": "hunter2",
                   "nested": {"password": "x", "depth": [{"auth_key": "y"}]}})
         assert bundle["meta"]["host"] == "ci-7"
@@ -167,31 +166,6 @@ class TestBundleSchema:
 
 
 class TestCaptureReplay:
-    def test_2pc_crash_bundle_replays_identically_twice(self, tmp_path):
-        """A captured crash-matrix scenario (coordinator dies after the
-        2PC decision) replays to the identical recovered store state on
-        two consecutive independent runs."""
-        bundle = capture_2pc_crash(str(tmp_path / "capture"), seed=2001,
-                                   stage="decided")
-        results = replay_check(bundle, str(tmp_path / "replays"), runs=2)
-        assert len(results) == 2
-        assert results[0].digest == results[1].digest
-        assert results[0].digest == bundle["outcome"]["digest"]
-        assert results[0].triples == bundle["outcome"]["triples"]
-        assert all(r.crashed for r in results)
-        for r in results:
-            r.store.close()
-
-    def test_2pc_pre_decision_crash_rolls_back_on_replay(self, tmp_path):
-        """Pre-decision kill: replay recovers the rolled-back state."""
-        bundle = capture_2pc_crash(str(tmp_path / "capture"), seed=2002,
-                                   stage="prepare", index=1)
-        result = replay(bundle, str(tmp_path / "replay"))
-        assert result.digest == bundle["outcome"]["digest"]
-        # the doomed in-flight group must not be in the recovered store
-        assert not list(result.store.match(property=Resource("slim:inflight")))
-        result.store.close()
-
     def test_wal_kill_bundle_replays_identically_twice(self, tmp_path):
         bundle = capture_wal_kill(str(tmp_path / "capture"), seed=2001)
         results = replay_check(bundle, str(tmp_path / "replays"), runs=2)

@@ -416,6 +416,23 @@ class TestTrimServiceSockets:
             assert exc.value.code == "OP_FAILED"
             assert "UnknownEntityError" in str(exc.value)
 
+    def test_tenant_that_fails_to_open_gets_an_error_frame(self, service):
+        """A tenant directory this release refuses (the retired sharded
+        layout) answers OP_FAILED; the connection stays usable."""
+        pad = os.path.join(service.registry.root, "sharded")
+        os.makedirs(os.path.join(pad, "shard-000"))
+        open(os.path.join(pad, "meta.wal"), "wb").close()
+        with ServiceClient("127.0.0.1", service.port,
+                           tenant="sharded") as c:
+            with pytest.raises(RemoteOpError) as exc:
+                c.create("slim:s", "slim:p", 1)
+            assert exc.value.code == "OP_FAILED"
+            assert "PersistenceError" in str(exc.value)
+            c.tenant = "plain"          # same connection, another tenant
+            c.create("slim:s", "slim:p", 1)
+            assert c.count() == 1
+        assert sorted(os.listdir(pad)) == ["meta.wal", "shard-000"]
+
     def test_unsupported_version_frame(self, service):
         with socket.create_connection(("127.0.0.1", service.port),
                                       timeout=10) as raw:

@@ -3,8 +3,9 @@
 The WAL/recovery machinery itself is exercised (including crash
 injection) in ``test_triples_wal.py``; these tests pin the integration
 surface — the ``durable=`` façade, id-generator observation after
-recovery, the SLIMPad ``open_durable`` flow, and the ``recover`` /
-``demo --durable`` CLI commands.
+recovery, the SLIMPad ``open_durable`` flow, the ``recover`` /
+``demo --durable`` CLI commands, and the refusal of the retired sharded
+directory layout.
 """
 
 import os
@@ -14,12 +15,13 @@ import pytest
 from repro import DocumentLibrary, SlimPadApplication, standard_mark_manager
 from repro.base.spreadsheet import Workbook
 from repro.cli import main
-from repro.errors import SlimPadError
+from repro.errors import PersistenceError, SlimPadError
 from repro.triples import persistence
 from repro.triples.namespaces import NamespaceRegistry
+from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Resource, triple
-from repro.triples.wal import SNAPSHOT_FILE, WAL_FILE, recover
+from repro.triples.wal import SNAPSHOT_FILE, WAL_FILE, Durability, recover
 from repro.util.coordinates import Coordinate
 
 
@@ -92,22 +94,6 @@ class TestDurableTrim:
         assert compacted.recovery_stats()["snapshot_group"] == 3
         compacted.close()
 
-    def test_recovery_stats_sharded(self, tmp_path):
-        directory = str(tmp_path)
-        trim = TrimManager(durable=directory, shards=2)
-        trim.create("a", "p", 1)
-        trim.create("b", "p", 2)
-        trim.commit()
-        trim.close()
-        again = TrimManager(durable=directory, shards=2)
-        stats = again.recovery_stats()
-        assert len(stats["shards"]) == 2
-        assert set(stats["stage_seconds"]) == \
-            {"snapshot_s", "deltas_s", "wal_s"}
-        assert sum(s.get("changes_replayed", 0)
-                   for s in stats["shards"]) == 2
-        again.close()
-
     def test_batch_rollback_is_logged_coherently(self, tmp_path):
         directory = str(tmp_path)
         trim = TrimManager(durable=directory)
@@ -119,6 +105,83 @@ class TestDurableTrim:
         trim.commit()
         trim.close()
         assert list(recover(directory).store) == [triple("keep", "p", 1)]
+
+
+class TestCloseIdempotence:
+    def test_plain_durability_double_close(self, tmp_path):
+        store = TripleStore()
+        durability = Durability(store, str(tmp_path / "d"))
+        store.add(triple("a", "p", 1))
+        durability.commit()
+        durability.close()
+        durability.close()  # second close is a no-op, not an error
+
+    def test_durability_del_after_close(self, tmp_path):
+        durability = Durability(TripleStore(), str(tmp_path / "d"))
+        durability.close()
+        durability.__del__()  # finalizer after explicit close: silent
+
+    def test_trim_manager_double_close_and_del(self, tmp_path):
+        trim = TrimManager(durable=str(tmp_path / "d"))
+        trim.create("slim:e1", "slim:name", "x")
+        trim.commit()
+        trim.close()
+        trim.close()
+        trim.__del__()
+
+    def test_closed_handle_rejects_commit(self, tmp_path):
+        durability = Durability(TripleStore(), str(tmp_path / "d"))
+        durability.close()
+        with pytest.raises(PersistenceError):
+            durability.commit()
+
+
+def _listing(root):
+    """Every path under *root* with its size, for before/after checks."""
+    found = {}
+    for base, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(base, name)
+            found[os.path.relpath(path, root)] = \
+                None if name in dirs else os.path.getsize(path)
+    return found
+
+
+class TestRetiredShardLayoutRefused:
+    """A directory in the retired sharded layout (a ``meta.wal``
+    coordinator log beside ``shard-NNN/`` subdirectories) must be refused,
+    not opened as an empty plain store that writes beside the shards."""
+
+    @pytest.fixture
+    def sharded_root(self, tmp_path):
+        root = tmp_path / "pad"
+        root.mkdir()
+        (root / "meta.wal").write_bytes(b"")
+        (root / "shard-000").mkdir()
+        return str(root)
+
+    def test_trim_manager_and_cli_refuse(self, sharded_root, capsys):
+        before = _listing(sharded_root)
+        with pytest.raises(PersistenceError, match="shards split"):
+            TrimManager(durable=sharded_root)
+        assert main(["recover", sharded_root]) == 1
+        assert "shard-000" in capsys.readouterr().err
+        assert _listing(sharded_root) == before
+
+    @pytest.mark.parametrize("leftover", ["meta.wal", "shard-003"])
+    def test_either_marker_alone_is_refused(self, tmp_path, leftover):
+        root = tmp_path / "pad"
+        root.mkdir()
+        if leftover == "meta.wal":
+            (root / leftover).write_bytes(b"")
+        else:
+            (root / leftover).mkdir()
+        before = _listing(str(root))
+        with pytest.raises(PersistenceError, match="sharded"):
+            Durability(TripleStore(), str(root))
+        with pytest.raises(PersistenceError, match="sharded"):
+            recover(str(root))
+        assert _listing(str(root)) == before
 
 
 def _build_pad(durable=None):
