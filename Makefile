@@ -43,9 +43,10 @@ bench-concurrency: ## full-scale concurrency benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_concurrency.py --benchmark-only -q -s
 
 # Regenerates BENCH_trim_caching.json at full scale: warm repeated
-# selects/queries through the generation-keyed cache vs the planner-only
-# baseline, and incremental view maintenance vs full-recompute views
-# under a mutating workload.
+# selects/queries through the read cache vs the planner-only baseline,
+# the hit rate of selects between writes to other subjects, and
+# incremental view maintenance vs full-recompute views under a mutating
+# workload.
 bench-caching:   ## full-scale read-cache benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_caching.py --benchmark-only -q -s
 

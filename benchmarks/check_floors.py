@@ -54,6 +54,9 @@ FLOORS = {
     ("trim_caching", "cached_query_speedup_x"): 10.0,
     ("trim_caching", "incremental_view_speedup_x"): 5.0,
     ("trim_caching", "cached_read_hit_rate"): 0.9,
+    # A write drops only the cached reads it can change, so bundle
+    # selects between scrap renames keep hitting (measured 0.98).
+    ("trim_caching", "between_writes_hit_rate"): 0.9,
     # ISSUE 9: N connections must coalesce into far fewer commit groups
     # than requests (measured 4.1x with the high-water mark engaged).
     ("trim_service", "coalesce_ratio"): 1.5,

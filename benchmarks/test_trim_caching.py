@@ -1,17 +1,21 @@
 """Read-cache benchmarks: memoized selects/queries + incremental views (ISSUE 6).
 
-Two questions the cache tier answers:
+Three questions the cache tier answers:
 
 1. **Warm repeated reads** — SLIMPad browsing traffic re-runs the same
    conjunctive queries and selections over a store that mutates in
-   bursts.  With the generation-keyed cache a warm repeated
-   ``TrimManager.query`` must run >= 10x faster than the planner-only
-   baseline (``cache=False`` — the PR-1 planner evaluating the join from
-   scratch every time): a hit is one token read + one dict probe + one
-   copy, independent of join width.  A churn pass over more distinct
-   keys than the cache holds exercises the LRU so the eviction counters
-   in the report are live numbers, not zeros.
-2. **Views under mutation** — a reachability view read after every write
+   bursts.  With the read cache a warm repeated ``TrimManager.query``
+   must run >= 10x faster than the planner-only baseline
+   (``cache=False`` — the PR-1 planner evaluating the join from scratch
+   every time): a hit is one read barrier + one dict probe + one copy,
+   independent of join width.  A churn pass over more distinct keys
+   than the cache holds exercises the LRU so the eviction counters in
+   the report are live numbers, not zeros.
+2. **Reads between writes** — the cache drops only the entries a write
+   can change, so bundle selects interleaved one-for-one with scrap
+   renames (writes to other subjects) must keep a >= 0.9 hit rate;
+   invalidating every entry on every write would miss every select.
+3. **Views under mutation** — a reachability view read after every write
    burst used to pay a full closure BFS per generation bump.  The
    listener-maintained view applies each insert incrementally (O(1) for
    unreachable subjects, frontier-BFS for reachable ones), so the
@@ -43,6 +47,8 @@ BUNDLES = 60 if _SMOKE else 200
 SCRAPS_PER_BUNDLE = 3
 QUERY_OPS = 150 if _SMOKE else 1500
 SELECT_OPS = 2000 if _SMOKE else 20000
+#: Reads-between-writes shape: select + scrap rename rounds.
+INTERLEAVED_OPS = 1000 if _SMOKE else 10000
 #: LRU churn shape: distinct subject keys probed vs the cache entry cap.
 CHURN_ENTRIES = 64
 CHURN_SUBJECTS = 200 if _SMOKE else 2000
@@ -155,6 +161,52 @@ def test_warm_repeated_reads(benchmark):
           f"{select_uncached_s / select_cached_s:.1f}x")])
 
 
+def _interleaved_pass(trim, ops):
+    """Each round selects one bundle, then renames one scrap (a write to
+    another subject); returns seconds."""
+    bundles = [Resource(f"slim:b{b}") for b in range(BUNDLES)]
+    scraps = [Resource(f"slim:b{b}-s{s}") for b in range(BUNDLES)
+              for s in range(SCRAPS_PER_BUNDLE)]
+    name = Resource("slim:scrapName")
+    start = time.perf_counter()
+    for i in range(ops):
+        trim.select(subject=bundles[i % BUNDLES])
+        scrap = scraps[i % len(scraps)]
+        trim.store.remove_matching(subject=scrap, property=name)
+        trim.create(scrap, name, f"renamed {i}")
+    return time.perf_counter() - start
+
+
+def test_selects_between_writes(benchmark):
+    """Selects stay cached across writes that cannot change them."""
+    cached = _seed_pad(TrimManager())
+    uncached = _seed_pad(TrimManager(cache=False))
+    uncached_s = _interleaved_pass(uncached, INTERLEAVED_OPS)
+    cached_s = run_once(
+        benchmark, lambda: _interleaved_pass(cached, INTERLEAVED_OPS))
+    assert cached.select(subject=Resource("slim:b0")) == \
+        uncached.select(subject=Resource("slim:b0"))
+    stats = cached.cache_stats()["select_cache"]
+    assert stats["hits"] + stats["misses"] == INTERLEAVED_OPS + 1
+    hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
+    assert hit_rate >= 0.9, f"hit rate between writes {hit_rate:.3f}"
+    _RESULTS["reads_between_writes"] = {
+        "ops": INTERLEAVED_OPS,
+        "hit_rate": round(hit_rate, 4),
+        "hits": stats["hits"],
+        "misses": stats["misses"],
+        "invalidations": stats["invalidations"],
+        "uncached_round_us": round(uncached_s / INTERLEAVED_OPS * 1e6, 2),
+        "cached_round_us": round(cached_s / INTERLEAVED_OPS * 1e6, 2),
+    }
+    print_table(
+        f"Bundle selects between scrap renames ({INTERLEAVED_OPS} rounds)",
+        ["read path", "µs/round", "hit rate"],
+        [("uncached", f"{uncached_s / INTERLEAVED_OPS * 1e6:.1f}", "-"),
+         ("cached", f"{cached_s / INTERLEAVED_OPS * 1e6:.1f}",
+          f"{hit_rate:.3f}")])
+
+
 def _seed_graph(store):
     """A bundle tree: a root fanning out to VIEW_NODES nested bundles in
     a 4-ary hierarchy, each node holding one name triple — deep enough
@@ -233,7 +285,8 @@ def test_writes_trajectory_json(benchmark, tmp_path):
     Smoke runs write to a temp path instead, so the checked-in trajectory
     file always holds full-scale numbers.
     """
-    assert set(_RESULTS) == {"cached_reads", "incremental_views"}, \
+    assert set(_RESULTS) == {"cached_reads", "reads_between_writes",
+                             "incremental_views"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_caching.json")
                  if _SMOKE else _JSON_PATH)
@@ -245,6 +298,7 @@ def test_writes_trajectory_json(benchmark, tmp_path):
             "scraps_per_bundle": SCRAPS_PER_BUNDLE,
             "query_ops": QUERY_OPS,
             "select_ops": SELECT_OPS,
+            "interleaved_ops": INTERLEAVED_OPS,
             "view_nodes": VIEW_NODES,
             "view_rounds": VIEW_ROUNDS,
         },

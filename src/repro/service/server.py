@@ -50,7 +50,7 @@ from repro.service import protocol
 from repro.service.registry import PadRegistry, TenantHandle
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.triple import Node, Resource
-from repro.triples.views import reachable_triples
+from repro.triples.views import reachable_triples, view_key
 
 __all__ = ["TrimService"]
 
@@ -319,7 +319,9 @@ def _read_trim_view(handle: TenantHandle, params: Dict[str, Any]):
                                   or isinstance(max_depth, bool)
                                   or max_depth < 0):
         raise ProtocolError("'max_depth' must be a non-negative integer")
-    closure = reachable_triples(handle.trim.store, root, follow, max_depth)
+    closure = handle.trim.read(
+        view_key(root, follow, max_depth),
+        lambda store: reachable_triples(store, root, follow, max_depth))
     return {"triples": [protocol.encode_triple(t) for t in closure]}
 
 

@@ -1,33 +1,49 @@
-"""Generation-keyed memoization for repeated triple-store reads.
+"""Memoization for repeated triple-store reads, invalidated per pattern.
 
 The dominant SLIMPad traffic shape is repeated reads — the same
-``select()`` patterns and the same conjunctive queries, over a store that
-mutates in bursts (PAPER.md section 4-5).  PR-1 gave every store a
-monotonic :attr:`~repro.triples.store.TripleStore.generation` counter
-whose contract is *equal generations guarantee identical contents*; that
-makes the counter a ready-made invalidation token, and this module turns
-it into a bounded result cache.
+``select()`` patterns, the same conjunctive queries and the same bundle
+views, over a store that mutates one scrap at a time (PAPER.md sections
+4-5).  This module turns those reads into a bounded result cache whose
+entries survive every write that cannot change them.
 
-Keying.  An entry is keyed on the canonical read — ``('select', s, p, v)``
-or a :meth:`~repro.triples.query.Query.cache_key` — and stamped with the
-store's :attr:`~repro.triples.store.TripleStore.generation` as its
-*token*, so any write invalidates every entry.
+Keying.  An entry is keyed on the canonical read — ``('select', s, p, v)``,
+a :meth:`~repro.triples.query.Query.cache_key` or a
+:func:`~repro.triples.views.view_key` — and remembers the ``(s, p, v)``
+read patterns its fill issued against the store, ``None`` standing for a
+wildcard: a select records its own pattern, a query every ``match`` it
+runs and every ``count`` its planner runs, a view every
+``select(subject=...)`` of its BFS.  A read fixing subject and value but
+not property is served (and counted) from the smaller of the subject and
+value buckets, so it records both single-field patterns instead.
 
-Snapshot safety.  The token is read *before* the fill computes and again
-*after*; the entry is stored only when the two agree.  A bulk-load owner's
-first read flushes pending inserts (bumping the generation between the
-two reads), so a result computed from a half-pending view is returned to
-its caller but never pinned.  Reader threads during a concurrent ingest
-see a pinned last-flush generation and pinned last-flush contents, so
-their fills are consistent snapshots and cache normally.  Token reads go
-through the store's read barrier, so a bulk owner's *hit* path also
-flushes first — read-your-writes survives memoization.
+Invalidation.  The cache listens to the store's change stream.  A changed
+triple ``(s, p, v)`` matches exactly eight patterns — each field either
+fixed or a wildcard — so the listener drops just the entries that depend
+on one of those eight.  Renaming a scrap leaves every join, every other
+scrap's values and every view of a bundle without that scrap cached.
 
-Bounds.  LRU over entries with three caps: entry count, total cached
-items, and a per-result item ceiling (oversize results are returned but
-never stored, so one huge scan cannot sweep the cache).  Results are
-stored privately and copied out on every hit — callers may mutate what
-they get back.
+Snapshot safety.  The cache keeps its own epoch, bumped by the listener
+under the cache lock.  A fill notes the epoch before it computes and is
+stored only if the epoch has not moved by the time it inserts; otherwise
+it is returned to its caller but not pinned (``racy_fills_skipped``).  This
+relies on the store notifying only after the change is visible in its
+indexes, which every mutation path does.  Lookups go through the store's
+read barrier, so a bulk owner's pending inserts are flushed (and
+notified) before its lookup — read-your-writes survives memoization —
+while reader threads during a concurrent ingest see, fill and hit the
+last-flush snapshot.  Lock order is store lock, then cache lock; fills
+run outside the cache lock.
+
+Recovery.  :meth:`ReadCache.detach` stops listening so a durable open can
+take the store's listener-free ``restore_rows`` fast path;
+:meth:`ReadCache.attach` resubscribes and drops every entry, since that
+path notifies nobody.
+
+Bounds.  LRU over entries with three caps: entry count, total size, and a
+per-entry ceiling, where an entry's size is its result rows plus its
+recorded patterns (oversize results are returned but never stored, so one
+huge scan cannot sweep the cache).  Results are stored privately and
+copied out on every hit — callers may mutate what they get back.
 """
 
 from __future__ import annotations
@@ -35,32 +51,63 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
 
-__all__ = ["GenerationCache"]
+__all__ = ["ReadCache"]
+
+#: A read pattern: (subject, property, value), ``None`` = wildcard.
+ReadPattern = Tuple[Any, Any, Any]
 
 
-def _copy_rows(rows: List[dict]) -> List[dict]:
-    return [dict(row) for row in rows]
+class _RecordingStore:
+    """The store as a fill sees it: every read passes through and leaves
+    its pattern behind in :attr:`patterns`."""
+
+    __slots__ = ("_store", "patterns")
+
+    def __init__(self, store: Any) -> None:
+        self._store = store
+        self.patterns: Set[ReadPattern] = set()
+
+    def _note(self, subject, prop, value) -> None:
+        if prop is None and subject is not None and value is not None:
+            self.patterns.add((subject, None, None))
+            self.patterns.add((None, None, value))
+        else:
+            self.patterns.add((subject, prop, value))
+
+    def match(self, subject=None, property=None, value=None):
+        self._note(subject, property, value)
+        return self._store.match(subject, property, value)
+
+    def select(self, subject=None, property=None, value=None):
+        self._note(subject, property, value)
+        return self._store.select(subject, property, value)
+
+    def count(self, subject=None, property=None, value=None):
+        self._note(subject, property, value)
+        return self._store.count(subject, property, value)
 
 
-class GenerationCache:
-    """A bounded LRU of read results, invalidated by generation tokens.
+class ReadCache:
+    """A bounded LRU of read results, invalidated by the patterns they read.
 
     ::
 
-        cache = GenerationCache(store)
+        cache = ReadCache(store)
         result = cache.get(('select', s, p, v),
-                           lambda: store.select(subject=s, property=p, value=v))
+                           lambda reads: reads.select(subject=s, property=p,
+                                                      value=v))
         cache.stats()   # hits / misses / evictions / invalidations / ...
 
-    The cache never serves a result whose token disagrees with the
-    store's current one, so stale reads are impossible; the worst a race
-    can cause is a skipped fill (counted under ``racy_fills_skipped``).
+    *compute* receives a recording view of the store (``match``,
+    ``select`` and ``count``) and must read only through it.  The cache
+    never serves an entry after a change that matches one of its
+    patterns, so stale reads are impossible; the worst a race can cause is
+    a skipped fill (counted under ``racy_fills_skipped``).
 
     Lock order: the cache lock is leaf-level — fills (which may take the
-    store lock via the read barrier or the computation) always run
-    *outside* it.
+    store lock via the read barrier) always run *outside* it.
     """
 
     def __init__(self, store: Any, max_entries: int = 1024,
@@ -68,8 +115,12 @@ class GenerationCache:
                  max_result_items: int = 25_000) -> None:
         self._store = store
         self._lock = threading.Lock()
-        # key -> (token, result, item_count); insertion order == LRU order.
+        # key -> (result, size, patterns); insertion order == LRU order.
         self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        # pattern -> keys of the entries that read it.
+        self._deps: Dict[ReadPattern, Set[Hashable]] = {}
+        self._epoch = 0
+        self._unsubscribe: Optional[Callable[[], None]] = None
         self._items = 0
         self.max_entries = max_entries
         self.max_items = max_items
@@ -84,86 +135,133 @@ class GenerationCache:
         self._uncacheable = 0
         self._fill_seconds = 0.0
 
-    # -- tokens ---------------------------------------------------------------
+    # -- subscription ---------------------------------------------------------
 
-    def _token(self) -> Optional[Hashable]:
-        """The invalidation stamp: the store's generation.
+    def attach(self) -> None:
+        """Subscribe to the store's change stream and start caching.
 
-        Read through the store's read barrier, so a bulk owner asking
-        for a token flushes its pending inserts first and a memoized read
-        keeps read-your-writes semantics.  A store without a generation
-        (a duck-typed stand-in) yields ``None`` and the read is computed
-        fresh every time.
+        Drops every entry, so nothing filled while detached (or before a
+        listener-free recovery) is served.  A store without
+        ``add_listener`` cannot be attached: every read is then computed
+        fresh (counted under ``uncacheable``).  Idempotent.
+        """
+        add_listener = getattr(self._store, "add_listener", None)
+        if add_listener is None or self._unsubscribe is not None:
+            return
+        unsubscribe = add_listener(self._on_change)
+        with self._lock:
+            self._unsubscribe = unsubscribe
+            self._reset()
+
+    def detach(self) -> None:
+        """Unsubscribe and drop every entry; reads compute fresh until
+        the next :meth:`attach`.  Idempotent."""
+        with self._lock:
+            unsubscribe, self._unsubscribe = self._unsubscribe, None
+            self._reset()
+        if unsubscribe is not None:
+            unsubscribe()
+
+    def _on_change(self, action: str, triple: Any, sequence: int) -> None:
+        s, p, v = triple.subject, triple.property, triple.value
+        with self._lock:
+            self._epoch += 1
+            deps = self._deps
+            if not deps:
+                return
+            for pattern in ((s, p, v), (s, p, None), (s, None, v),
+                            (s, None, None), (None, p, v), (None, p, None),
+                            (None, None, v), (None, None, None)):
+                keys = deps.pop(pattern, None)
+                if keys:
+                    for key in keys:
+                        self._drop(key)
+                    self._invalidations += len(keys)
+
+    # -- the one entry point --------------------------------------------------
+
+    def get(self, key: Hashable, compute: Callable[[Any], list],
+            copy: Callable[[list], list] = list) -> list:
+        """Return the cached result for *key*, filling via *compute*.
+
+        *compute* is called with a recording view of the store; *copy*
+        produces the caller-safe copy (``list`` for triple lists, a
+        row-copying callable for query bindings).
         """
         store = self._store
         barrier = getattr(store, "_read_barrier", None)
         if barrier is not None:
             barrier()
-        return getattr(store, "generation", None)
-
-    # -- the one entry point --------------------------------------------------
-
-    def get(self, key: Hashable, compute: Callable[[], list],
-            copy: Callable[[list], list] = list) -> list:
-        """Return the cached result for *key*, filling via *compute*.
-
-        *copy* produces the caller-safe copy (``list`` for triple lists,
-        a row-copying callable for query bindings).
-        """
-        token = self._token()
-        if token is None:
-            with self._lock:
-                self._uncacheable += 1
-            return compute()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if entry[0] == token:
+            if self._unsubscribe is None:
+                self._uncacheable += 1
+                epoch = None
+            else:
+                entry = self._entries.get(key)
+                if entry is not None:
                     self._entries.move_to_end(key)
                     self._hits += 1
-                    return copy(entry[1])
-                # Stale: the store moved on since this entry was filled.
-                self._invalidations += 1
-                self._items -= entry[2]
-                del self._entries[key]
-            else:
+                    return copy(entry[0])
                 self._misses += 1
+                epoch = self._epoch
+        if epoch is None:
+            return compute(store)
+        reads = _RecordingStore(store)
         started = perf_counter()
-        result = compute()
+        result = compute(reads)
         elapsed = perf_counter() - started
-        token_after = self._token()
+        patterns = tuple(reads.patterns)
+        size = len(result) + len(patterns)
         with self._lock:
             self._fill_seconds += elapsed
-            if token_after != token:
-                # A writer (or our own bulk flush) raced the fill; the
-                # result may mix states across the flush, so hand it back
-                # but never pin it to a token it does not represent.
+            if self._epoch != epoch:
+                # A change landed while the fill ran; the result may
+                # predate it, so hand it back but never pin it.
                 self._racy_fills_skipped += 1
                 return result
-            item_count = len(result)
-            if item_count > self.max_result_items:
+            if size > self.max_result_items:
                 self._oversize_skipped += 1
                 return result
-            stale = self._entries.pop(key, None)
-            if stale is not None:
-                self._items -= stale[2]
-            self._entries[key] = (token, result, item_count)
-            self._items += item_count
+            if key in self._entries:
+                self._drop(key)
+            self._entries[key] = (result, size, patterns)
+            self._items += size
+            deps = self._deps
+            for pattern in patterns:
+                keys = deps.get(pattern)
+                if keys is None:
+                    deps[pattern] = {key}
+                else:
+                    keys.add(key)
             self._fills += 1
             while self._entries and (len(self._entries) > self.max_entries
                                      or self._items > self.max_items):
-                _, (_, _, evicted_items) = self._entries.popitem(last=False)
-                self._items -= evicted_items
+                self._drop(next(iter(self._entries)))
                 self._evictions += 1
         return copy(result)
 
     # -- maintenance ----------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._items = 0
+    def _drop(self, key: Hashable) -> None:
+        """Remove one entry and its dependency links.  Caller holds the
+        lock."""
+        _, size, patterns = self._entries.pop(key)
+        self._items -= size
+        deps = self._deps
+        for pattern in patterns:
+            keys = deps.get(pattern)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del deps[pattern]
+
+    def _reset(self) -> None:
+        """Drop every entry and move the epoch, so no fill in flight is
+        pinned.  Caller holds the lock."""
+        self._entries.clear()
+        self._deps.clear()
+        self._items = 0
+        self._epoch += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -171,9 +269,13 @@ class GenerationCache:
     # -- metrics --------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Counters for the metrics surface (``TrimManager.cache_stats``)."""
+        """Counters for the metrics surface (``TrimManager.cache_stats``).
+
+        ``invalidations`` counts entries dropped by a matching change;
+        ``hit_rate`` is hits over lookups (hits plus misses).
+        """
         with self._lock:
-            lookups = self._hits + self._misses + self._invalidations
+            lookups = self._hits + self._misses
             fills = self._fills + self._racy_fills_skipped \
                 + self._oversize_skipped
             return {

@@ -22,17 +22,18 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Union)
 
 from repro.triples import persistence
-from repro.triples.cache import GenerationCache
+from repro.triples.cache import ReadCache
 from repro.triples.namespaces import NamespaceRegistry
 from repro.triples.query import Query
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, UndoLog
 from repro.triples.triple import (Literal, LiteralValue, Node, Resource,
                                   Triple, triple)
-from repro.triples.views import View
+from repro.triples.views import View, reachable_triples, view_key
 from repro.triples.wal import Durability
 from repro.util.identifiers import IdGenerator
 
@@ -115,15 +116,18 @@ class TrimManager:
         self.ids = IdGenerator()
         self._undo: Optional[UndoLog] = None
         self._durability: Optional[Durability] = None
-        self._cache: Optional[GenerationCache] = \
-            GenerationCache(self.store, max_entries=cache_entries) \
+        self._cache: Optional[ReadCache] = \
+            ReadCache(self.store, max_entries=cache_entries) \
             if cache else None
         self._views: List["weakref.ref"] = []
         self._views_lock = threading.Lock()
         if durable is not None:
+            # Attaches the cache once recovery is done.
             self.enable_durability(durable, compact_every=compact_every,
                                    commit_every=commit_every,
                                    delta_ratio=delta_ratio)
+        elif self._cache is not None:
+            self._cache.attach()
 
     # -- create / remove ------------------------------------------------------
 
@@ -185,23 +189,35 @@ class TrimManager:
 
     # -- query ----------------------------------------------------------------
 
+    def read(self, key: Hashable, compute: Callable[[Any], list],
+             copy: Callable[[list], list] = list) -> list:
+        """Memoize one read: ``compute(store)`` under *key*.
+
+        *compute* must read the store only through the object it is
+        handed (``match``/``select``/``count``), which records the
+        patterns it reads; the entry is dropped by the first write that
+        matches one of them (see :mod:`repro.triples.cache`).  *copy*
+        makes the caller-safe copy of a cached result.  With the cache
+        off this is just ``compute(self.store)``.
+        """
+        cache = self._cache
+        if cache is None:
+            return compute(self.store)
+        return cache.get(key, compute, copy)
+
     def select(self, subject: Optional[Resource] = None,
                prop: Optional[Resource] = None,
                value: Optional[Node] = None) -> List[Triple]:
         """TRIM's selection query: fix any subset of fields.
 
-        Memoized against the store's generation stamp, so repeated
-        selections of an unchanged store cost a dict probe plus a list
-        copy (see :mod:`repro.triples.cache`).
+        Memoized until a write matching the selection, so repeated
+        selections cost a dict probe plus a list copy (see
+        :mod:`repro.triples.cache`).
         """
-        cache = self._cache
-        if cache is None:
-            return self.store.select(subject=subject, property=prop,
-                                     value=value)
-        return cache.get(
+        return self.read(
             ("select", subject, prop, value),
-            lambda: self.store.select(subject=subject, property=prop,
-                                      value=value))
+            lambda store: store.select(subject=subject, property=prop,
+                                       value=value))
 
     def value_of(self, subject: Resource, prop: Resource) -> Optional[Node]:
         """The single value of *prop* on *subject* (None when absent),
@@ -240,15 +256,12 @@ class TrimManager:
     def query(self, query: Query) -> List[dict]:
         """Run a conjunctive :class:`~repro.triples.query.Query` (extension).
 
-        Results are memoized on :meth:`Query.cache_key` plus the store's
-        generation — structurally equal queries share entries, and any
-        write invalidates.  Returned binding dicts are caller-safe copies.
+        Results are memoized on :meth:`Query.cache_key` —
+        structurally equal queries share entries — until a write matches
+        a pattern the evaluation or its planner read.  Returned binding
+        dicts are caller-safe copies.
         """
-        cache = self._cache
-        if cache is None:
-            return query.run_all(self.store)
-        return cache.get(query.cache_key(),
-                         lambda: query.run_all(self.store),
+        return self.read(query.cache_key(), query.run_all,
                          copy=lambda rows: [dict(row) for row in rows])
 
     def explain(self, query: Query):
@@ -257,6 +270,16 @@ class TrimManager:
         return query.explain(self.store)
 
     # -- views ----------------------------------------------------------------
+
+    def reachable(self, root: Resource, follow_properties=None,
+                  max_depth: Optional[int] = None) -> List[Triple]:
+        """The triples reachable from *root*
+        (:func:`~repro.triples.views.reachable_triples`), memoized until
+        a write touches a visited resource's triples."""
+        return self.read(
+            view_key(root, follow_properties, max_depth),
+            lambda store: reachable_triples(store, root, follow_properties,
+                                            max_depth))
 
     def view(self, root: Resource, follow_properties=None,
              max_depth: Optional[int] = None,
@@ -279,12 +302,12 @@ class TrimManager:
     # -- cache metrics ---------------------------------------------------------
 
     @property
-    def cache(self) -> Optional[GenerationCache]:
-        """The select/query result cache (None when disabled)."""
+    def cache(self) -> Optional[ReadCache]:
+        """The select/query/view result cache (None when disabled)."""
         return self._cache
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Read-path cache metrics: the select/query cache counters plus
+        """Read-path cache metrics: the select/query/view cache counters plus
         aggregated maintenance counters over live views.
 
         ::
@@ -355,15 +378,26 @@ class TrimManager:
         ids advance the id generator, like :meth:`load`.  *commit_every*
         turns on auto-grouping (see :class:`~repro.triples.wal.Durability`).
         Idempotent: returns the existing handle when already enabled.
+
+        The read cache stops listening during recovery, so a snapshot
+        loads through the store's listener-free ``restore_rows`` path,
+        and resubscribes empty afterwards.
         """
         if self._durability is not None:
             return self._durability
-        self._durability = Durability(self.store, directory,
-                                      namespaces=self.namespaces,
-                                      compact_every=compact_every,
-                                      fsync=fsync,
-                                      commit_every=commit_every,
-                                      delta_ratio=delta_ratio)
+        cache = self._cache
+        if cache is not None:
+            cache.detach()
+        try:
+            self._durability = Durability(self.store, directory,
+                                          namespaces=self.namespaces,
+                                          compact_every=compact_every,
+                                          fsync=fsync,
+                                          commit_every=commit_every,
+                                          delta_ratio=delta_ratio)
+        finally:
+            if cache is not None:
+                cache.attach()
         for resource in self.store.resources():
             self.ids.observe(resource.uri)
         return self._durability

@@ -93,6 +93,16 @@ def reachable_triples(store: TripleStore, root: Resource,
     return result
 
 
+def view_key(root: Resource,
+             follow_properties: Optional[Iterable[Resource]] = None,
+             max_depth: Optional[int] = None) -> Tuple:
+    """The read-cache key of one :func:`reachable_triples` call: equal
+    keys name the same closure (the followed properties are a set)."""
+    follow = (frozenset(follow_properties)
+              if follow_properties is not None else None)
+    return ("view", root, follow, max_depth)
+
+
 def reachable_resources(store: TripleStore, root: Resource,
                         follow_properties: Optional[Iterable[Resource]] = None,
                         max_depth: Optional[int] = None) -> List[Resource]:

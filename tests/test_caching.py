@@ -1,9 +1,10 @@
-"""Tests for the generation-keyed read cache and incremental views.
+"""Tests for the pattern-invalidated read cache and incremental views.
 
 The cache contract: a hit is indistinguishable from a fresh read — any
 mutation that could change an answer invalidates its entries before the
 next lookup, including writes raced across ``bulk()`` scopes,
-snapshot-isolation reads mid-ingest, and durable commits.  The
+snapshot-isolation reads mid-ingest, durable commits and recovery — and
+a write that cannot change an answer leaves its entry cached.  The
 incremental-view contract: after any op sequence, a listener-maintained
 view equals a fresh closure recompute.
 """
@@ -15,7 +16,7 @@ import threading
 import pytest
 
 import repro.triples.views as views_module
-from repro.triples.cache import GenerationCache
+from repro.triples.cache import ReadCache
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
@@ -65,10 +66,12 @@ class TestSelectCacheBasics:
 
     def test_oversize_results_are_not_pinned(self):
         store = TripleStore()
-        cache = GenerationCache(store, max_result_items=3)
+        cache = ReadCache(store, max_result_items=3)
+        cache.attach()
         for i in range(5):
             store.add(triple("s", "p", i))
-        result = cache.get(("select", None, None, None), store.select)
+        result = cache.get(("select", None, None, None),
+                           lambda reads: reads.select())
         assert len(result) == 5
         stats = cache.stats()
         assert stats["oversize_skipped"] == 1 and stats["entries"] == 0
@@ -80,7 +83,7 @@ class TestSelectCacheBasics:
         assert trim.cache_stats()["select_cache"] is None
 
     def test_empty_cache_still_reports_stats(self):
-        # An empty GenerationCache is falsy (len 0) — stats must still
+        # An empty ReadCache is falsy (len 0) — stats must still
         # distinguish "enabled but cold" from "disabled".
         trim = TrimManager()
         stats = trim.cache_stats()["select_cache"]
@@ -95,10 +98,15 @@ class TestSelectCacheBasics:
             def select(self, subject=None, property=None, value=None):
                 return backing.select(subject, property, value)
 
-        cache = GenerationCache(BareStore())
-        assert len(cache.get(("select", None, None, None),
-                             backing.select)) == 1
-        assert cache.stats()["uncacheable"] == 1
+        # No change stream to listen to: attach() is a no-op and every
+        # read is computed fresh.
+        cache = ReadCache(BareStore())
+        cache.attach()
+        for _ in range(2):
+            assert len(cache.get(("select", None, None, None),
+                                 lambda reads: reads.select())) == 1
+        stats = cache.stats()
+        assert stats["uncacheable"] == 2 and stats["entries"] == 0
 
     def test_cached_value_helpers(self):
         trim = TrimManager()
@@ -146,13 +154,53 @@ class TestQueryCache:
         rows[0]["b"] = "corrupted"
         assert trim.query(q)[0]["b"] == Resource("b0")
 
-    def test_query_invalidated_by_any_write(self):
+    @staticmethod
+    def _ward():
+        """Two bundles, three named scraps, and a join whose planner
+        counts a pattern its evaluation never matches."""
         trim = TrimManager()
-        q = Query([Pattern(Var("b"), Resource("p"), Var("v"))])
-        trim.create("s0", "p", 1)
+        trim.create("b0", "bc", Resource("s0"))
+        trim.create("b0", "bc", Resource("s1"))
+        trim.create("b1", "bc", Resource("s2"))
+        trim.create("s0", "name", "K+")
+        trim.create("s1", "name", "Na")
+        trim.create("s2", "name", "Cl")
+        # Planned as (?s name "K+") first, then (?b bc s0): the second
+        # step matches only (_, bc, s0), but the planner counted
+        # (_, bc, _) to choose the order.
+        q = Query([Pattern(Var("b"), Resource("bc"), Var("s")),
+                   Pattern(Var("s"), Resource("name"), Literal("K+"))])
+        return trim, q
+
+    def test_query_kept_across_unrelated_write(self):
+        trim, q = self._ward()
+        rows = trim.query(q)
+        assert rows == [{"b": Resource("b0"), "s": Resource("s0")}]
+        trim.create("s7", "name", "Na")          # no pattern it read
+        trim.create("s1", "note", "stat")
+        assert trim.query(q) == rows
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["invalidations"] == 0
+
+    def test_query_dropped_by_matching_write(self):
+        trim, q = self._ward()
         assert len(trim.query(q)) == 1
-        trim.create("s1", "p", 2)                # any write invalidates
+        trim.create("s2", "name", "K+")          # matches (_, name, "K+")
         assert len(trim.query(q)) == 2
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["misses"] == 2 and stats["invalidations"] == 1
+
+    def test_query_dropped_by_planner_count_pattern(self):
+        trim, q = self._ward()
+        rows = trim.query(q)
+        # Only the planner's count of (_, bc, _) reads this triple's
+        # patterns; the count moved, so the plan may, and the entry goes.
+        trim.create("b2", "bc", Resource("s9"))
+        assert trim.query(q) == rows
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["hits"] == 0 and stats["misses"] == 2
+        assert stats["invalidations"] == 1
 
 
 class TestCacheAcrossBulkScopes:
@@ -162,24 +210,33 @@ class TestCacheAcrossBulkScopes:
         assert len(trim.select(subject=Resource("s"))) == 1
         with trim.store.bulk():
             trim.create("s", "p", 1)
-            # Read-your-writes: the token read flushes the owner's
-            # pending insert, so the stale entry cannot be served.
+            # Read-your-writes: the lookup's read barrier flushes the
+            # owner's pending insert, whose notification drops the entry.
             assert len(trim.select(subject=Resource("s"))) == 2
         assert len(trim.select(subject=Resource("s"))) == 2
 
-    def test_fill_refused_while_generation_moves(self):
+    def test_change_between_compute_and_insert_skips_the_fill(self):
         store = TripleStore()
-        cache = GenerationCache(store)
+        cache = ReadCache(store)
+        cache.attach()
         store.add(triple("s", "p", 0))
+        key = ("select", Resource("s"), None, None)
 
-        def racing_compute():
-            result = store.select(subject=Resource("s"))
-            store.add(triple("s", "p", 1))       # writer races the fill
+        def racing_compute(reads):
+            result = reads.select(subject=Resource("s"))
+            # A writer lands after the read, before the fill inserts.
+            store.add(triple("s", "p", 1))
             return result
 
-        cache.get(("select", Resource("s"), None, None), racing_compute)
+        assert len(cache.get(key, racing_compute)) == 1   # handed back
         stats = cache.stats()
         assert stats["racy_fills_skipped"] == 1 and stats["entries"] == 0
+        # Not pinned: the next lookup misses and sees the write.
+        assert len(cache.get(key, lambda reads: reads.select(
+            subject=Resource("s")))) == 2
+        stats = cache.stats()
+        assert stats["misses"] == 2 and stats["hits"] == 0
+        assert stats["entries"] == 1
 
     def test_snapshot_isolation_mid_ingest(self):
         trim = TrimManager(concurrent=True)
@@ -200,8 +257,8 @@ class TestCacheAcrossBulkScopes:
         writer.start()
         try:
             assert ingesting.wait(timeout=10)
-            # Non-owner reads mid-ingest: pinned last-flush snapshot,
-            # cached normally at the pinned generation.
+            # Non-owner reads mid-ingest: the last-flush snapshot,
+            # cached normally (pending inserts notify nobody yet).
             assert len(trim.select(subject=Resource("s"))) == 1
             assert len(trim.select(subject=Resource("s"))) == 1
             mid = trim.cache_stats()["select_cache"]
@@ -210,8 +267,125 @@ class TestCacheAcrossBulkScopes:
             release.set()
             writer.join(timeout=10)
         assert done.wait(timeout=10)
-        # The flush bumped the generation: the pinned entry is stale now.
+        # The flush notified the cache, which dropped the entry.
         assert len(trim.select(subject=Resource("s"))) == 3
+
+
+class TestPreciseInvalidation:
+    def test_write_to_another_subject_keeps_select(self):
+        trim = TrimManager()
+        trim.create("s0", "name", "a")
+        trim.create("s1", "name", "b")
+        first = trim.select(subject=Resource("s0"))
+        trim.create("s1", "name", "c")           # other subject
+        trim.remove(triple("s1", "name", "b"))
+        assert trim.select(subject=Resource("s0")) == first
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["hits"] == 1 and stats["invalidations"] == 0
+
+    def test_each_of_the_eight_patterns_is_dropped(self):
+        trim = TrimManager()
+        s, p, v = Resource("s"), Resource("p"), Literal("v")
+        reads = [(s, p, v), (s, p, None), (s, None, v), (s, None, None),
+                 (None, p, v), (None, p, None), (None, None, v),
+                 (None, None, None)]
+        for read in reads:
+            assert trim.select(*read) == []
+        trim.select(Resource("other"))           # matches none of them
+        trim.create("s", "p", "v")
+        for read in reads:
+            assert trim.select(*read) == [triple("s", "p", "v")]
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["invalidations"] == len(reads)
+        assert stats["hits"] == 0 and stats["entries"] == len(reads) + 1
+
+    def test_subject_value_read_tracks_both_buckets(self):
+        # (s, _, v) is served from the smaller of the subject and value
+        # buckets; a write to either bucket drops the entry.
+        trim = TrimManager()
+        trim.create("s", "p", "v")
+        key = (Resource("s"), None, Literal("v"))
+        trim.select(*key)
+        trim.create("s", "q", "w")               # subject bucket only
+        trim.select(*key)
+        trim.create("t", "q", "v")               # value bucket only
+        trim.select(*key)
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["misses"] == 3 and stats["invalidations"] == 2
+
+    def test_reachable_kept_unless_a_visited_subject_changes(self):
+        trim = TrimManager()
+        trim.create("b0", "bc", Resource("s0"))
+        trim.create("s0", "name", "K+")
+        trim.create("b1", "bc", Resource("s1"))
+        trim.create("s1", "name", "Na")
+        view = trim.reachable(Resource("b0"))
+        assert view == reachable_triples(trim.store, Resource("b0"))
+        trim.create("s1", "name", "Cl")          # scrap of another bundle
+        assert trim.reachable(Resource("b0")) == view
+        assert trim.cache_stats()["select_cache"]["hits"] == 1
+        trim.create("s0", "note", "stat")        # scrap inside the view
+        fresh = trim.reachable(Resource("b0"))
+        assert fresh == reachable_triples(trim.store, Resource("b0"))
+        assert len(fresh) == len(view) + 1
+        # Followed properties are a set: either order shares one entry.
+        follow = [Resource("bc"), Resource("name")]
+        trim.reachable(Resource("b0"), follow)
+        trim.reachable(Resource("b0"), follow[::-1])
+        assert trim.cache_stats()["select_cache"]["hits"] == 2
+
+
+class TestCacheAcrossRecovery:
+    @staticmethod
+    def _snapshotted(directory):
+        with TrimManager(durable=directory) as trim:
+            trim.create("s", "p", 1)
+            trim.create("t", "p", 2)
+            trim.commit()
+            trim.durability.compact()
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        original = TripleStore.restore_rows
+
+        def spy(self, nodes, rows):
+            calls.append(len(rows))
+            return original(self, nodes, rows)
+
+        monkeypatch.setattr(TripleStore, "restore_rows", spy)
+        return calls
+
+    def test_durable_constructor_restores_rows(self, tmp_path, monkeypatch):
+        self._snapshotted(str(tmp_path))
+        calls = self._spy(monkeypatch)
+        with TrimManager(durable=str(tmp_path)) as trim:
+            assert calls == [2]
+            assert len(trim.select(prop=Resource("p"))) == 2
+            trim.create("u", "p", 3)             # the cache is listening
+            assert len(trim.select(prop=Resource("p"))) == 3
+
+    def test_enable_durability_restores_rows(self, tmp_path, monkeypatch):
+        self._snapshotted(str(tmp_path))
+        calls = self._spy(monkeypatch)
+        trim = TrimManager()
+        trim.enable_durability(str(tmp_path))
+        try:
+            assert calls == [2]
+            assert len(trim.select(prop=Resource("p"))) == 2
+        finally:
+            trim.close()
+
+    def test_select_cached_before_recovery_is_not_served(self, tmp_path):
+        self._snapshotted(str(tmp_path))
+        trim = TrimManager()
+        assert trim.select(subject=Resource("s")) == []   # cached empty
+        trim.enable_durability(str(tmp_path))
+        try:
+            assert trim.select(subject=Resource("s")) == \
+                [triple("s", "p", 1)]
+        finally:
+            trim.close()
 
 
 class TestIncrementalViewMaintenance:
@@ -396,11 +570,10 @@ class TestCacheStatsConcurrency:
                 select = stats["select_cache"]
                 try:
                     # The invariant the cache maintains per snapshot:
-                    # every fill was preceded by a miss (or a racy/
-                    # oversize skip accounted against one).
+                    # every fill, racy skip or oversize skip follows
+                    # its own miss.
                     assert select["fills"] + select["racy_fills_skipped"] \
-                        + select["oversize_skipped"] \
-                        <= select["misses"] + select["invalidations"]
+                        + select["oversize_skipped"] <= select["misses"]
                     assert 0.0 <= select["hit_rate"] <= 1.0
                 except AssertionError as exc:
                     failures.append(exc)

@@ -396,6 +396,26 @@ class TestTrimServiceSockets:
             assert rows == [{"b": Resource("slim:b1"),
                              "s": Resource("slim:s1")}]
 
+    def test_view_reads_go_through_the_cache(self, service):
+        with ServiceClient("127.0.0.1", service.port, tenant="v") as c:
+            c.create("slim:b1", "slim:content", Resource("slim:s1"))
+            c.create("slim:s1", "slim:name", "K+")
+            c.create("slim:b2", "slim:content", Resource("slim:s2"))
+
+            def hits():
+                return c.stats()["cache"]["select_cache"]["hits"]
+
+            first = c.view("slim:b1")
+            assert len(first) == 2
+            before = hits()
+            assert c.view("slim:b1") == first
+            c.create("slim:s2", "slim:name", "Na")   # outside the view
+            assert c.view("slim:b1") == first
+            assert hits() == before + 2
+            c.create("slim:s1", "slim:note", "stat")  # inside the view
+            assert len(c.view("slim:b1")) == 3
+            assert hits() == before + 2
+
     def test_typed_error_frames(self, service):
         with ServiceClient("127.0.0.1", service.port) as c:
             with pytest.raises(RemoteOpError) as exc:
