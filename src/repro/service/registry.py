@@ -44,12 +44,13 @@ writer thread's fsyncs fall behind.
 
 from __future__ import annotations
 
+import gc
 import os
 import queue
 import re
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (BackpressureError, ProtocolError,
                           ServiceUnavailableError)
@@ -335,6 +336,20 @@ class PadRegistry:
         registry.close_all()                    # drain every tenant
 
     Thread-safe; see the module docstring for the lifecycle contract.
+
+    **Heap policy (process-wide).**  A cold open builds tens of
+    thousands of long-lived objects (triples, index sets, nodes).  Left
+    to the cyclic collector they set off a full collection every few
+    opens, each walking every live tenant.  So after each cold open the
+    registry calls ``gc.freeze()`` (O(1)), which moves *every* object
+    then alive in the process, not just this registry's, into the
+    permanent generation that collections skip.  Evicted tenants hold
+    no reference cycles and are freed by reference counting alone.  A
+    cycle that was alive at a freeze and dies later is never
+    collected, so :meth:`reconcile_heap` (run by the server's reaper)
+    unfreezes, collects and refreezes once per reaper tick that
+    follows a freeze.  There is no switch: any registry in the process
+    freezes the process's heap.
     """
 
     #: How many recent cold-open latencies feed the percentile block.
@@ -360,6 +375,14 @@ class PadRegistry:
         #: Recent cold-open latencies (seconds), newest last, bounded so
         #: a long-lived server's stats block stays O(1).
         self._open_latencies: List[float] = []
+        # Heap policy bookkeeping (see the class docstring): the open
+        # count (each cold open froze the heap) the last reconcile saw,
+        # and the last reconcile's (seconds, objects collected, objects
+        # frozen).
+        self._reconciled_opens = 0
+        self._reconciles = 0
+        self._last_reconcile: Tuple[Optional[float], Optional[int],
+                                    Optional[int]] = (None, None, None)
 
     def _name_lock(self, name: str) -> threading.Lock:
         with self._lock:
@@ -409,7 +432,10 @@ class PadRegistry:
                 del self._open_latencies[:-self._OPEN_LATENCY_WINDOW]
                 handle.refcount += 1
                 handle.touch()
-                return handle
+            # The open just built the tenant's long-lived heap: move it,
+            # with everything else alive, out of the collector's sight.
+            gc.freeze()
+            return handle
 
     def release(self, handle: TenantHandle) -> None:
         """Drop one reference taken by :meth:`acquire`."""
@@ -478,6 +504,54 @@ class PadRegistry:
         """Whether :meth:`close_all` has run."""
         return self._closed
 
+    # -- the frozen heap --------------------------------------------------------
+
+    def reconcile_heap(self) -> bool:
+        """Collect the cycles a freeze stranded, then freeze again.
+
+        ``gc.unfreeze(); gc.collect(); gc.freeze()``: one full collection
+        over the whole heap, so it belongs to the server's reaper tick
+        and never to a request.  Does nothing, and returns ``False``,
+        unless a cold open froze the heap since the last reconcile, so
+        an idle server never pays for it.  Also the only place the
+        frozen-object count is measured (counting walks the heap).
+        """
+        with self._lock:
+            if self._opens == self._reconciled_opens:
+                return False
+            self._reconciled_opens = self._opens
+        started = time.perf_counter()
+        gc.unfreeze()
+        collected = gc.collect()
+        gc.freeze()
+        seconds = time.perf_counter() - started
+        frozen = gc.get_freeze_count()
+        with self._lock:
+            self._reconciles += 1
+            self._last_reconcile = (seconds, collected, frozen)
+        return True
+
+    def heap_stats(self) -> Dict[str, Any]:
+        """The ``heap`` block of ``admin.stats``; O(1), no heap walk.
+
+        ``collections`` counts collections per collector generation
+        (young to old) since process start; ``frozen`` is the frozen
+        object count as the last reconcile left it (``None`` before the
+        first).
+        """
+        collections = [g["collections"] for g in gc.get_stats()]
+        with self._lock:
+            reconciles = self._reconciles
+            seconds, collected, frozen = self._last_reconcile
+        return {
+            "collections": collections,
+            "reconciles": reconciles,
+            "last_reconcile_ms": (None if seconds is None
+                                  else round(seconds * 1e3, 3)),
+            "last_reconcile_collected": collected,
+            "frozen": frozen,
+        }
+
     # -- introspection ---------------------------------------------------------
 
     def tenants(self) -> Dict[str, TenantHandle]:
@@ -498,6 +572,7 @@ class PadRegistry:
             "evictions": evictions,
             "idle_ttl": self.idle_ttl,
             "open_latency_us": percentiles_us(latencies),
+            "heap": self.heap_stats(),
             "tenants": {name: handle.stats()
                         for name, handle in sorted(handles.items())},
         }

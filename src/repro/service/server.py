@@ -636,12 +636,16 @@ class TrimService:
         self._started.set()
 
     async def _reap_loop(self) -> None:
-        """Periodically close idle, unreferenced tenants."""
+        """Periodically close idle, unreferenced tenants, then collect
+        the cycles the frozen heap stranded
+        (:meth:`~repro.service.registry.PadRegistry.reconcile_heap`)."""
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.reap_interval)
             with contextlib.suppress(Exception):
                 await loop.run_in_executor(None, self.registry.evict_idle)
+            with contextlib.suppress(Exception):
+                await loop.run_in_executor(None, self.registry.reconcile_heap)
 
     def request_shutdown(self, exit_code: int = 0) -> None:
         """Begin a graceful drain (idempotent; loop-thread safe via

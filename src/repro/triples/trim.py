@@ -431,14 +431,22 @@ class TrimManager:
         return self._durability.commit()
 
     def close(self) -> None:
-        """Detach durability, if enabled (uncommitted changes are dropped).
+        """Detach durability, if enabled (uncommitted changes are dropped),
+        and the read cache.
 
-        Idempotent and safe from ``__del__``-time teardown: repeated
-        calls, and calls racing interpreter shutdown, are no-ops.
+        Both listen on the store, so both are unsubscribed: a closed
+        manager holds no reference cycle and is freed by reference
+        counting alone.  Reads still work and stay correct, computed
+        fresh on every call until :meth:`enable_durability` reattaches
+        the cache.  Idempotent and safe from ``__del__``-time teardown:
+        repeated calls, and calls racing interpreter shutdown, are
+        no-ops.
         """
         durability, self._durability = self._durability, None
         if durability is not None:
             durability.close()
+        if self._cache is not None:
+            self._cache.detach()
 
     def __enter__(self) -> "TrimManager":
         """Context-manager entry: the manager itself.

@@ -841,6 +841,10 @@ def recover(directory: str,
 
 # -- the durability orchestrator ---------------------------------------------
 
+def _noop() -> None:
+    """The unsubscribe of a listener that is not (or no longer) attached."""
+
+
 class Durability:
     """Crash-safe persistence for one store: recovery, WAL, compaction.
 
@@ -933,7 +937,7 @@ class Durability:
         add_atomic = getattr(store, "add_atomic_listener", None)
         self._unsubscribe_atomic = (add_atomic(self._on_atomic_end)
                                     if add_atomic is not None
-                                    else (lambda: None))
+                                    else _noop)
         try:
             if not had_state and len(store):
                 self.compact()
@@ -941,8 +945,7 @@ class Durability:
             # Construction failed after the listeners attached: detach
             # them so later store mutations don't feed a half-built,
             # closed-over handle, and release the log files.
-            self._unsubscribe()
-            self._unsubscribe_atomic()
+            self._detach()
             self._wal.close()
             self._deltas.close()
             raise
@@ -1081,8 +1084,7 @@ class Durability:
         if self._closed:
             return
         self._closed = True
-        self._unsubscribe()
-        self._unsubscribe_atomic()
+        self._detach()
         self._wal.close()
         self._deltas.close()
 
@@ -1103,8 +1105,7 @@ class Durability:
         Idempotent.
         """
         self._closed = True
-        self._unsubscribe()
-        self._unsubscribe_atomic()
+        self._detach()
         wal = self._wal
         file, wal._file = wal._file, None
         if file is not None:
@@ -1115,6 +1116,20 @@ class Durability:
         self._deltas.abandon()
 
     # -- internals -----------------------------------------------------------
+
+    def _detach(self) -> None:
+        """Unsubscribe from the store and drop the unsubscribe closures.
+
+        Each closure holds this handle's bound listener, so keeping it
+        would leave a handle -> closure -> handle cycle: a closed handle
+        and the store it wraps would wait for the cyclic collector
+        instead of dying with their last reference.
+        """
+        unsubscribe, self._unsubscribe = self._unsubscribe, _noop
+        unsubscribe_atomic, self._unsubscribe_atomic = \
+            self._unsubscribe_atomic, _noop
+        unsubscribe()
+        unsubscribe_atomic()
 
     def _flush_group(self) -> bool:
         """One WAL group commit (write + fsync); ``True`` if anything
