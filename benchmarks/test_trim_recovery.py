@@ -6,11 +6,9 @@ Three questions the recovery overhaul raises:
    a v3 binary columnar snapshot versus replaying the WAL, at 100k and
    1M triples.  The v2 XML snapshot *lost* to replay (0.66x in the old
    trajectory); the binary format with the ``restore_rows`` fast path
-   must reverse that.  Both recovery shapes are timed into the same
-   store implementation so the ratio isolates the on-disk format: the
-   interned store (dictionary ids map straight into the intern table —
-   the format's designed-for path) and the plain ``TripleStore``
-   default are reported separately.
+   must reverse that.  Both recovery shapes are timed into the store
+   ``repro serve`` opens for a tenant, ``TripleStore(concurrent=True)``,
+   so the ratio isolates the on-disk format.
 2. **Cold tenant open latency** — the full service path: evicted
    (compacted-on-close) tenants reopened through ``PadRegistry``,
    p50/p99 from the registry's own open-latency window.
@@ -33,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro.service.registry import PadRegistry
-from repro.triples.interned import InternedTripleStore
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Resource, triple
@@ -43,10 +40,10 @@ from repro.workloads.generator import random_triples
 from benchmarks.conftest import print_table, run_once
 
 _SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-#: snapshot-vs-replay sizes: (label, triples, which store impls to time).
+#: snapshot-vs-replay sizes: (label, triples).
 SCALE_POINTS = (
-    ("100k", 5_000 if _SMOKE else 100_000, ("plain", "interned")),
-    ("1m", 20_000 if _SMOKE else 1_000_000, ("interned",)),
+    ("100k", 5_000 if _SMOKE else 100_000),
+    ("1m", 20_000 if _SMOKE else 1_000_000),
 )
 #: cold-open shape: tenants x triples each.
 COLD_TENANTS = 3 if _SMOKE else 8
@@ -59,8 +56,6 @@ _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_trim_recovery.json"
 
 #: Sections accumulated by the tests below; the last test writes the file.
 _RESULTS = {}
-
-_IMPLS = {"plain": TripleStore, "interned": InternedTripleStore}
 
 
 def _timed(fn):
@@ -89,7 +84,7 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
     table_rows = []
 
     def measure_all():
-        for label, count, impls in SCALE_POINTS:
+        for label, count in SCALE_POINTS:
             items = random_triples(count, num_subjects=max(count // 10, 10),
                                    num_properties=8)
             base = tmp_path / label
@@ -102,22 +97,25 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
                 "snapshot_bytes": os.path.getsize(
                     os.path.join(snap_dir, "snapshot.slim")),
             }
-            for impl in impls:
-                replay_s, replayed = _timed(
-                    lambda: recover(wal_dir, store=_IMPLS[impl]()))
-                snapshot_s, snapshotted = _timed(
-                    lambda: recover(snap_dir, store=_IMPLS[impl]()))
-                assert len(replayed.store) == len(snapshotted.store)
-                assert snapshotted.groups_replayed == 0
-                assert replayed.snapshot_triples == 0
-                point[impl] = {
-                    "replay_s": round(replay_s, 6),
-                    "snapshot_s": round(snapshot_s, 6),
-                    "speedup_x": round(replay_s / snapshot_s, 2),
-                }
-                table_rows.append(
-                    (label, impl, f"{replay_s:.3f}", f"{snapshot_s:.3f}",
-                     f"{replay_s / snapshot_s:.2f}x"))
+            # One recovered store alive at a time: the snapshot load must
+            # not be timed under the replayed store's memory.
+            replay_s, replayed = _timed(lambda: recover(
+                wal_dir, store=TripleStore(concurrent=True)))
+            assert replayed.snapshot_triples == 0
+            replayed_triples = len(replayed.store)
+            del replayed
+            snapshot_s, snapshotted = _timed(lambda: recover(
+                snap_dir, store=TripleStore(concurrent=True)))
+            assert snapshotted.groups_replayed == 0
+            assert len(snapshotted.store) == replayed_triples
+            del snapshotted
+            point.update({
+                "replay_s": round(replay_s, 6),
+                "snapshot_s": round(snapshot_s, 6),
+                "speedup_x": round(replay_s / snapshot_s, 2),
+            })
+            table_rows.append((label, f"{replay_s:.3f}", f"{snapshot_s:.3f}",
+                               f"{replay_s / snapshot_s:.2f}x"))
             sections[label] = point
             # Drop the triples and stores between points: the 1M point
             # must not be timed under the 100k point's garbage.
@@ -127,14 +125,13 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
 
     run_once(benchmark, measure_all)
     _RESULTS["snapshot_vs_replay"] = {
-        "speedup_100k": sections["100k"]["interned"]["speedup_x"],
-        "speedup_100k_plain": sections["100k"]["plain"]["speedup_x"],
-        "speedup_1m": sections["1m"]["interned"]["speedup_x"],
+        "speedup_100k": sections["100k"]["speedup_x"],
+        "speedup_1m": sections["1m"]["speedup_x"],
         **sections,
     }
     print_table(
         "Snapshot load vs WAL replay (same final state)",
-        ["scale", "store", "replay s", "snapshot s", "speedup"],
+        ["scale", "replay s", "snapshot s", "speedup"],
         table_rows)
 
 
@@ -240,8 +237,7 @@ def test_writes_trajectory_json(benchmark, tmp_path):
         "smoke": _SMOKE,
         "workload": {
             "generator": "repro.workloads.generator.random_triples",
-            "scale_points": {label: count
-                             for label, count, _ in SCALE_POINTS},
+            "scale_points": dict(SCALE_POINTS),
             "cold_tenants": COLD_TENANTS,
         },
         **_RESULTS,

@@ -19,8 +19,7 @@ bug reports.
 Format (version :data:`BUNDLE_VERSION`)::
 
     {"version": 1, "kind": "trim-replay",
-     "config": {"compact_every": 64, "commit_every": null,
-                "fsync": false},
+     "config": {"compact_every": 64, "fsync": false},
      "seeds": {"workload": 2001},
      "interleave": ["writer-0: commit", ...],       # hints, not a schedule
      "ops": [{"op": "add", "s": ..., "p": ..., "v": ["l","integer",3],
@@ -64,6 +63,13 @@ OP_KINDS = ("add", "remove", "commit", "kill")
 #: ``crash`` op, which killed its two-phase commit) is refused.
 _SHARDED_REFUSAL = ("sharded bundles are no longer replayable: this "
                     "harness replays single-store sessions only")
+
+#: Bundles captured before WAL auto-grouping was removed may carry
+#: ``config.commit_every: null``; a non-null value recorded group
+#: boundaries this harness can no longer reproduce.
+_COMMIT_EVERY_REFUSAL = ("commit_every auto-commit is no longer "
+                         "supported: replaying this bundle would "
+                         "silently change its WAL group boundaries")
 
 #: ``meta`` keys whose values are always replaced by this marker.
 REDACTED = "<redacted>"
@@ -207,10 +213,8 @@ def validate_bundle(bundle: Any) -> Dict[str, Any]:
     compact_every = config.get("compact_every", 64)
     _require(isinstance(compact_every, int) and compact_every >= 1,
              "config.compact_every must be an int >= 1")
-    commit_every = config.get("commit_every")
-    _require(commit_every is None
-             or (isinstance(commit_every, int) and commit_every >= 1),
-             "config.commit_every must be null or an int >= 1")
+    _require(config.get("commit_every") is None,
+             f"config: {_COMMIT_EVERY_REFUSAL}")
     _require(isinstance(config.get("fsync", False), bool),
              "config.fsync must be a bool")
 

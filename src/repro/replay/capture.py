@@ -64,7 +64,6 @@ class CaptureTap:
         self._detached = False
         self.config: Dict[str, Any] = {
             "compact_every": durability.compact_every,
-            "commit_every": durability.commit_every,
             "fsync": durability._wal._fsync,
         }
         self._unsubscribe = trim.store.add_listener(self._on_change)

@@ -37,8 +37,8 @@ def canonical_lines(store) -> "list[bytes]":
 def state_digest(store) -> str:
     """The sha256 hex digest of the store's canonical serialization.
 
-    Works on plain and interned stores alike — anything
-    iterable in global insertion order with a ``sequence_of``.
+    Works on any store iterable in global insertion order with a
+    ``sequence_of``.
     """
     digest = hashlib.sha256()
     for line in canonical_lines(store):

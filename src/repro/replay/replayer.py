@@ -61,8 +61,7 @@ def replay(bundle: Dict[str, Any], directory: str,
     trim = TrimManager(cache=False)
     trim.enable_durability(directory,
                            compact_every=config.get("compact_every", 64),
-                           fsync=config.get("fsync", False),
-                           commit_every=config.get("commit_every"))
+                           fsync=config.get("fsync", False))
     killed_at: Optional[int] = None
     ops_applied = 0
     op_latencies: "list[float]" = []

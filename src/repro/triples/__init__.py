@@ -13,7 +13,6 @@ Public surface:
   crash-safe persistence (:mod:`repro.triples.wal`)
 """
 
-from repro.triples.interned import InternedTripleStore
 from repro.triples.namespaces import (
     RDF,
     RDFS,
@@ -31,7 +30,6 @@ from repro.triples.wal import (Durability, RecoveryResult, WriteAheadLog,
                                recover)
 
 __all__ = [
-    "InternedTripleStore",
     "RDF",
     "RDFS",
     "SLIM",

@@ -39,13 +39,13 @@ top of that for the durability subsystem (:mod:`repro.triples.wal`).
 Snapshot **format v3** drops XML entirely for the recovery hot path: a
 binary columnar layout of length-prefixed CRC-checked segments — one
 header segment (WAL group, triple count, namespace declarations), a
-string *dictionary* of interned nodes (each URI/literal stored once),
+string *dictionary* of nodes (each URI/literal stored once),
 then fixed-width triple rows of ``(subject-id, property-id, value-id,
 sequence)`` integers.  Cold opens stop paying Python text parsing per
 triple: the loader verifies each segment's checksum, decodes the
-dictionary once, and either streams rows through the store's bulk path
-or — for stores exposing ``restore_rows`` (the interned store) — hands
-the dictionary ids straight to the intern table.  :func:`load_snapshot`
+dictionary once, and hands the dictionary and integer rows to
+:meth:`~repro.triples.store.TripleStore.restore_rows`, which builds the
+membership map and all five indexes in one pass.  :func:`load_snapshot`
 auto-detects the format from the leading bytes, so v1/v2 XML snapshots
 keep loading unchanged; :func:`save_snapshot` defaults to v3 and keeps
 ``format=2`` as an escape hatch.
@@ -428,11 +428,11 @@ def _load_snapshot_v3(handle: IO[bytes], path: str,
     :class:`PersistenceError` — snapshots are written atomically, so a
     damaged one is refused outright rather than loaded partially.
 
-    Stores exposing ``restore_rows`` (the interned store) take a fast
-    path: after full validation the dictionary nodes and integer rows
-    are handed over wholesale, mapping dictionary ids straight into the
-    intern table.  Other stores stream ``Triple`` objects through their
-    transactional bulk path.
+    After full validation the dictionary nodes and integer rows are
+    handed to :meth:`~repro.triples.store.TripleStore.restore_rows`
+    wholesale.  It is all-or-nothing and needs an empty target with no
+    change listeners — recovery loads the snapshot before anything
+    subscribes.
     """
     kind, payload = _read_segment(handle, path)
     if kind != _SEG_HEADER:
@@ -477,26 +477,10 @@ def _load_snapshot_v3(handle: IO[bytes], path: str,
         rows.extend(_ROW.iter_unpack(chunk))
     row_chunks.clear()
 
-    restore_rows = getattr(target, "restore_rows", None)
-    if restore_rows is not None and not getattr(target, "_listeners", True):
-        try:
-            restore_rows(nodes, rows)
-        except (IndexError, ValueError) as exc:
-            raise PersistenceError(f"{path}: bad snapshot row: {exc}") from exc
-    else:
-        with target.bulk():
-            for sid, pid, vid, seq in rows:
-                try:
-                    subject, prop, value = nodes[sid], nodes[pid], nodes[vid]
-                except IndexError as exc:
-                    raise PersistenceError(
-                        f"{path}: triple row references an unknown "
-                        "dictionary id") from exc
-                if not isinstance(subject, Resource) \
-                        or not isinstance(prop, Resource):
-                    raise PersistenceError(
-                        f"{path}: triple subject/property must be resources")
-                target.restore(Triple(subject, prop, value), seq)
+    try:
+        target.restore_rows(nodes, rows)
+    except (IndexError, ValueError) as exc:
+        raise PersistenceError(f"{path}: bad snapshot row: {exc}") from exc
     return Snapshot(Document(target, registry, 3), group)
 
 

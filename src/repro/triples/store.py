@@ -44,10 +44,6 @@ from repro.triples.triple import Literal, Node, Resource, Triple
 #: log restore a triple to its exact original position later.
 ChangeListener = Callable[[str, Triple, int], None]
 
-#: Atomic-scope listeners take no arguments; they fire once when the
-#: outermost atomic scope (bulk load or Batch) on the store closes.
-AtomicListener = Callable[[], None]
-
 #: Shared immutable empty bucket — ``_candidates`` must never allocate a
 #: fresh container just to say "no hits".
 _EMPTY: "frozenset[Triple]" = frozenset()
@@ -140,14 +136,8 @@ class TripleStore:
         self._pending_map: Dict[Triple, int] = {}
         self._bulk_owner: Optional[int] = None
         self._bulk_seq_mark = 0
-        # Atomic-scope state: bulk loads and Batches both count as atomic
-        # scopes; listeners fire when the outermost one closes (see
-        # add_atomic_listener).  Durability uses this to defer auto-commits
-        # past user-level operation boundaries.
-        self._atomic_depth = 0
-        self._atomic_listeners: List[AtomicListener] = []
 
-    # -- locking / atomic scopes ---------------------------------------------
+    # -- locking -------------------------------------------------------------
 
     @property
     def lock(self) -> "threading.RLock":
@@ -159,47 +149,6 @@ class TripleStore:
         store lock -> Durability meta lock -> WAL lock, never reversed.
         """
         return self._lock
-
-    @property
-    def in_atomic(self) -> bool:
-        """Whether an atomic scope (bulk load or Batch) is open."""
-        return self._atomic_depth > 0
-
-    def begin_atomic(self) -> None:
-        """Open an atomic scope.  Scopes nest; see :meth:`end_atomic`."""
-        with self._lock:
-            self._atomic_depth += 1
-
-    def end_atomic(self) -> None:
-        """Close one atomic scope; fire atomic listeners at depth zero."""
-        with self._lock:
-            if self._atomic_depth <= 0:
-                raise TransactionError("no atomic scope to end")
-            self._atomic_depth -= 1
-            fire = self._atomic_depth == 0
-        if fire:
-            self._fire_atomic_end()
-
-    def add_atomic_listener(self, listener: AtomicListener) -> Callable[[], None]:
-        """Register a callback for outermost atomic-scope exit.
-
-        Fires after the scope fully closed (flush or rollback included),
-        outside the store lock, whether the scope succeeded or aborted.
-        Returns an unsubscribe callable.
-        """
-        with self._lock:
-            self._atomic_listeners.append(listener)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                if listener in self._atomic_listeners:
-                    self._atomic_listeners.remove(listener)
-
-        return unsubscribe
-
-    def _fire_atomic_end(self) -> None:
-        for listener in list(self._atomic_listeners):
-            listener()
 
     # -- bulk loading --------------------------------------------------------
 
@@ -220,17 +169,12 @@ class TripleStore:
             self._pending_map = {}
             self._bulk_owner = threading.get_ident()
             self._bulk_seq_mark = self._sequence
-            self._atomic_depth += 1
 
     def _end_bulk(self) -> None:
         with self._lock:
             self._flush_bulk()
             self._pending = None
             self._bulk_owner = None
-            self._atomic_depth -= 1
-            fire = self._atomic_depth == 0
-        if fire:
-            self._fire_atomic_end()
 
     def _abort_bulk(self) -> None:
         with self._lock:
@@ -242,10 +186,6 @@ class TripleStore:
             # Sequences handed out since the last flush all belong to the
             # aborted inserts, so the counter rolls straight back.
             self._sequence = self._bulk_seq_mark
-            self._atomic_depth -= 1
-            fire = self._atomic_depth == 0
-        if fire:
-            self._fire_atomic_end()
 
     def _is_bulk_owner(self) -> bool:
         return self._bulk_owner == threading.get_ident()

@@ -61,41 +61,35 @@ class Batch:
     On normal exit the batch commits (changes stay) and its change list is
     available via :attr:`changes`.  Batches do not nest on one store.
 
-    The batch rides the store's bulk-ingest fast path when the store
-    offers one (``store.bulk()``): adds made inside the batch defer index
-    maintenance and listener fan-out until the batch's first selection,
-    removal, or exit.  The rollback contract is unchanged — on a normal
-    exit the deferred inserts flush (and are recorded as changes) before
-    ``__exit__`` returns; on an exception, still-pending inserts are
-    rolled back by the bulk abort and everything already flushed is
-    inverted by :meth:`rollback`.  A batch cannot open while a bulk load
-    someone else owns is active on the store.
+    The batch rides the store's bulk-ingest fast path (``store.bulk()``)
+    unless built with ``bulk=False``: adds made inside the batch defer
+    index maintenance and listener fan-out until the batch's first
+    selection, removal, or exit.  The rollback contract is unchanged — on
+    a normal exit the deferred inserts flush (and are recorded as
+    changes) before ``__exit__`` returns; on an exception, still-pending
+    inserts are rolled back by the bulk abort and everything already
+    flushed is inverted by :meth:`rollback`.  A batch cannot open while a
+    bulk load someone else owns is active on the store.
 
-    A batch is an *atomic scope* on stores that track one
-    (``begin_atomic``/``end_atomic``): durability layers suppress
-    mid-batch auto-commits and group-commit at scope exit instead, so a
-    crash can never recover a half-applied batch — the rollback
-    inversions land in the same WAL group as the changes they revert.
+    A batch never commits to the write-ahead log by itself: WAL groups
+    close only on an explicit ``commit()``, so a caller that commits
+    after the batch exits gets the batch's changes — and, on rollback,
+    the inversions that revert them — in one group.
     """
 
     def __init__(self, store: TripleStore, bulk: bool = True) -> None:
         self._store = store
         self._changes: List[Change] = []
         self._unsubscribe = None
-        self._use_bulk = bulk and hasattr(store, "bulk")
+        self._use_bulk = bulk
         self._bulk = None
-        self._atomic = False
 
     def __enter__(self) -> "Batch":
         if self._unsubscribe is not None:
             raise TransactionError("batch already active")
-        if getattr(self._store, "in_bulk", False):
+        if self._store.in_bulk:
             raise TransactionError(
                 "batch cannot open inside an active bulk load")
-        begin_atomic = getattr(self._store, "begin_atomic", None)
-        if begin_atomic is not None:
-            begin_atomic()
-            self._atomic = True
         self._unsubscribe = self._store.add_listener(self._record)
         if self._use_bulk:
             self._bulk = self._store.bulk()
@@ -105,20 +99,15 @@ class Batch:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._unsubscribe is None:
             raise TransactionError("batch exited without entering")
-        try:
-            if self._bulk is not None:
-                # Flushes deferred inserts (success) — recording them via
-                # the listener — or silently rolls them back (error).
-                self._bulk.__exit__(exc_type, exc, tb)
-                self._bulk = None
-            self._unsubscribe()
-            self._unsubscribe = None
-            if exc_type is not None:
-                self.rollback()
-        finally:
-            if self._atomic:
-                self._atomic = False
-                self._store.end_atomic()
+        if self._bulk is not None:
+            # Flushes deferred inserts (success) — recording them via the
+            # listener — or silently rolls them back (error).
+            self._bulk.__exit__(exc_type, exc, tb)
+            self._bulk = None
+        self._unsubscribe()
+        self._unsubscribe = None
+        if exc_type is not None:
+            self.rollback()
         return False  # never swallow exceptions
 
     def _record(self, action: str, triple: Triple, sequence: int) -> None:

@@ -106,7 +106,6 @@ class TrimManager:
     def __init__(self, namespaces: Optional[NamespaceRegistry] = None,
                  durable: Optional[str] = None,
                  compact_every: int = 64,
-                 commit_every: Optional[int] = None,
                  concurrent: bool = False,
                  cache: bool = True,
                  cache_entries: int = 1024,
@@ -124,7 +123,6 @@ class TrimManager:
         if durable is not None:
             # Attaches the cache once recovery is done.
             self.enable_durability(durable, compact_every=compact_every,
-                                   commit_every=commit_every,
                                    delta_ratio=delta_ratio)
         elif self._cache is not None:
             self._cache.attach()
@@ -369,15 +367,13 @@ class TrimManager:
 
     def enable_durability(self, directory: str, compact_every: int = 64,
                           fsync: bool = True,
-                          commit_every: Optional[int] = None,
                           delta_ratio: float = 0.5) -> Durability:
         """Attach crash-safe persistence rooted at *directory*.
 
         Recovers any existing snapshot + WAL state into the store (which
         must then be empty), then logs every mutation.  Recovered resource
-        ids advance the id generator, like :meth:`load`.  *commit_every*
-        turns on auto-grouping (see :class:`~repro.triples.wal.Durability`).
-        Idempotent: returns the existing handle when already enabled.
+        ids advance the id generator, like :meth:`load`.  Groups close
+        only on :meth:`commit`.  Idempotent: returns the existing handle when already enabled.
 
         The read cache stops listening during recovery, so a snapshot
         loads through the store's listener-free ``restore_rows`` path,
@@ -393,7 +389,6 @@ class TrimManager:
                                           namespaces=self.namespaces,
                                           compact_every=compact_every,
                                           fsync=fsync,
-                                          commit_every=commit_every,
                                           delta_ratio=delta_ratio)
         finally:
             if cache is not None:

@@ -866,36 +866,24 @@ class Durability:
     checksummed formats in :mod:`repro.triples.persistence` and this
     module, so a crash at any point leaves a recoverable directory.
 
-    *commit_every* (optional) turns on auto-grouping: once that many
-    changes have accumulated since the last commit, the next change
-    commits the group automatically.  Large ingests then coalesce into
-    ``N / commit_every`` fsyncs with no caller-side bookkeeping, at the
-    cost of group boundaries that no longer align with user-level
-    operations.  Auto-commits are *suppressed* while an atomic scope
-    (a ``Batch`` or bulk load) is open on the store and fire at scope
-    exit instead — a crash can therefore never recover a half-applied
-    user-level operation.  Explicit :meth:`commit` calls still work and
-    reset the running count.
-
-    :meth:`commit` writes and fsyncs on the caller's thread, so a commit
-    that returns is durable.
+    Groups close only on an explicit :meth:`commit`, which writes and
+    fsyncs on the caller's thread, so a commit that returns is durable.
+    Every change logged since the previous commit joins the group — a
+    ``Batch`` or bulk load committed after it exits is one group, and a
+    crash before that commit recovers none of it.
     """
 
     def __init__(self, store: TripleStore, directory: str,
                  namespaces: Optional[NamespaceRegistry] = None,
                  compact_every: int = 64, fsync: bool = True,
-                 commit_every: Optional[int] = None,
                  delta_ratio: float = 0.5) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
-        if commit_every is not None and commit_every < 1:
-            raise ValueError("commit_every must be >= 1 or None")
         if delta_ratio < 0:
             raise ValueError("delta_ratio must be >= 0")
         self.directory = directory
         self.namespaces = namespaces
         self.compact_every = compact_every
-        self.commit_every = commit_every
         self.delta_ratio = delta_ratio
         self._store = store
         # Guards the commit/compaction metadata (_groups_since_snapshot)
@@ -934,16 +922,12 @@ class Durability:
                                        if self.recovered is not None else 0)
         self._closed = False
         self._unsubscribe = store.add_listener(self._on_change)
-        add_atomic = getattr(store, "add_atomic_listener", None)
-        self._unsubscribe_atomic = (add_atomic(self._on_atomic_end)
-                                    if add_atomic is not None
-                                    else _noop)
         try:
             if not had_state and len(store):
                 self.compact()
         except BaseException:
-            # Construction failed after the listeners attached: detach
-            # them so later store mutations don't feed a half-built,
+            # Construction failed after the listener attached: detach
+            # it so later store mutations don't feed a half-built,
             # closed-over handle, and release the log files.
             self._detach()
             self._wal.close()
@@ -1018,17 +1002,13 @@ class Durability:
         A crash in between leaves delta segments / WAL groups that the
         snapshot already covers; recovery skips them by group number.
 
-        Runs under the store lock (when the store has one) so the
-        snapshot writer never iterates a store mid-mutation, then the
-        meta lock — consistent with the global lock order.
+        Runs under the store lock so the snapshot writer never iterates
+        a store mid-mutation, then the meta lock — consistent with the
+        global lock order.
         """
         if self._closed:
             raise PersistenceError("durability handle is closed")
-        lock = getattr(self._store, "lock", None)
-        if lock is not None:
-            with lock:
-                self._compact_locked()
-        else:
+        with self._store.lock:
             self._compact_locked()
 
     def _compact_locked(self) -> None:
@@ -1118,18 +1098,15 @@ class Durability:
     # -- internals -----------------------------------------------------------
 
     def _detach(self) -> None:
-        """Unsubscribe from the store and drop the unsubscribe closures.
+        """Unsubscribe from the store and drop the unsubscribe closure.
 
-        Each closure holds this handle's bound listener, so keeping it
+        The closure holds this handle's bound listener, so keeping it
         would leave a handle -> closure -> handle cycle: a closed handle
         and the store it wraps would wait for the cyclic collector
         instead of dying with their last reference.
         """
         unsubscribe, self._unsubscribe = self._unsubscribe, _noop
-        unsubscribe_atomic, self._unsubscribe_atomic = \
-            self._unsubscribe_atomic, _noop
         unsubscribe()
-        unsubscribe_atomic()
 
     def _flush_group(self) -> bool:
         """One WAL group commit (write + fsync); ``True`` if anything
@@ -1147,8 +1124,8 @@ class Durability:
     def _maybe_compact(self) -> None:
         """Compact when due — without ever *blocking* on the store lock.
 
-        A commit must not stall behind another thread's atomic scope: a
-        bulk ingest or ``Batch`` holds the store lock for its whole
+        A commit must not stall behind another thread's bulk ingest or
+        ``Batch``, which holds the store lock for its whole
         duration, and a committer waiting on it would turn one fsync
         into a wait for someone else's ingest.  When the store is busy
         the full rewrite is simply deferred to the next commit.
@@ -1166,10 +1143,7 @@ class Durability:
         if not self._full_rewrite_due():
             self.delta_compact()
             return
-        lock = getattr(self._store, "lock", None)
-        if lock is None:
-            self.compact()
-            return
+        lock = self._store.lock
         if not lock.acquire(blocking=False):
             return
         try:
@@ -1194,20 +1168,3 @@ class Durability:
 
     def _on_change(self, action: str, triple: Triple, sequence: int) -> None:
         self._wal.append(Change(action, triple, sequence))
-        if self.commit_every is not None \
-                and self._wal.dirty >= self.commit_every \
-                and not getattr(self._store, "in_atomic", False):
-            self.commit()
-
-    def _on_atomic_end(self) -> None:
-        """Deferred auto-commit: fires when a Batch/bulk scope closes.
-
-        Commits the whole operation (including any rollback inversions)
-        as one group, preserving the commit_every contract without ever
-        splitting a user-level operation across a group boundary.
-        """
-        if self._closed or self.commit_every is None:
-            return
-        if self._wal.dirty >= self.commit_every \
-                and not getattr(self._store, "in_atomic", False):
-            self.commit()

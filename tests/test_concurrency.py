@@ -15,8 +15,9 @@ this change lives in :class:`TestDurabilityEdgeCases`:
 
 1. a failing baseline snapshot in ``Durability.__init__`` used to leave
    the change listener attached to the store;
-2. ``commit_every`` auto-commits used to fire mid-``Batch``, making a
-   half-applied user operation recoverable after a crash;
+2. a ``Batch`` must never be half-recoverable: WAL groups close only on
+   an explicit commit, so a crash mid-batch recovers none of it and a
+   rolled-back batch commits as one clean group;
 3. ``WriteAheadLog.commit()`` on an empty buffer used to write a
    boundary record and fsync for nothing.
 """
@@ -30,9 +31,7 @@ import time
 
 import pytest
 
-from repro.errors import TransactionError
 from repro.triples import persistence
-from repro.triples.interned import InternedTripleStore
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch
@@ -41,7 +40,6 @@ from repro.triples.triple import Literal, Resource, Triple, triple
 from repro.triples.views import View
 from repro.triples.wal import (WAL_FILE, Durability, WriteAheadLog, recover)
 
-STORE_CLASSES = [TripleStore, InternedTripleStore]
 
 
 def _in_thread(fn):
@@ -76,7 +74,7 @@ def _spy_flushes(store):
     return calls
 
 
-@pytest.fixture(params=STORE_CLASSES, ids=lambda cls: cls.__name__)
+@pytest.fixture(params=[TripleStore], ids=["TripleStore"])
 def store_cls(request):
     return request.param
 
@@ -189,55 +187,6 @@ class TestSnapshotReadsDuringBulk:
         assert len(plain) == len(cow)
 
 
-class TestAtomicScopes:
-    """begin/end_atomic bracket user operations; listeners fire once."""
-
-    def test_listener_fires_at_outermost_exit_only(self, store_cls):
-        store = store_cls()
-        fired = []
-        store.add_atomic_listener(lambda: fired.append(store.in_atomic))
-        store.begin_atomic()
-        store.begin_atomic()
-        store.end_atomic()
-        assert fired == []
-        store.end_atomic()
-        assert fired == [False]  # fired once, after the scope closed
-
-    def test_end_without_begin_raises(self, store_cls):
-        with pytest.raises(TransactionError):
-            store_cls().end_atomic()
-
-    def test_bulk_counts_as_atomic_scope(self, store_cls):
-        store = store_cls()
-        fired = []
-        store.add_atomic_listener(lambda: fired.append("end"))
-        with store.bulk():
-            assert store.in_atomic
-            store.add(triple("s", "p", 1))
-        assert not store.in_atomic
-        assert fired == ["end"]
-
-    def test_batch_is_one_atomic_scope_even_on_rollback(self, store_cls):
-        store = store_cls()
-        fired = []
-        store.add_atomic_listener(lambda: fired.append(len(store)))
-        with pytest.raises(RuntimeError):
-            with Batch(store):
-                store.add(triple("s", "p", 1))
-                raise RuntimeError("boom")
-        # Fired once, after the rollback completed (store empty again).
-        assert fired == [0]
-
-    def test_unsubscribe_detaches(self, store_cls):
-        store = store_cls()
-        fired = []
-        unsubscribe = store.add_atomic_listener(lambda: fired.append(1))
-        unsubscribe()
-        with store.bulk():
-            store.add(triple("s", "p", 1))
-        assert fired == []
-
-
 class TestConcurrentStress:
     """Readers race a real bulk ingest; every observation is consistent."""
 
@@ -315,13 +264,6 @@ def _buckets(store):
             for key, bucket in getattr(store, name).items()}
 
 
-def _bucket_key(store, node):
-    """The single-field index key of *node* (interned stores key by id)."""
-    if isinstance(store, InternedTripleStore):
-        return store._lookup(node)
-    return node
-
-
 class TestInPlaceIndexWrites:
     """concurrent=True keeps single-triple writes O(1): no bucket copies."""
 
@@ -332,7 +274,7 @@ class TestInPlaceIndexWrites:
         name = Resource("slim:scrapName")
         store.add_all(triple(f"scrap{i}", name, f"n{i}")
                       for i in range(self.BIG))
-        big = store._by_property[_bucket_key(store, name)]
+        big = store._by_property[name]
         assert len(big) == self.BIG
         writes = [
             lambda: store.add(triple("scrap1", name, "renamed")),
@@ -349,22 +291,22 @@ class TestInPlaceIndexWrites:
             for key, bucket in before.items():
                 assert after.get(key, bucket) is bucket, \
                     f"{key[0]} bucket was copied by a single-triple write"
-        assert store._by_property[_bucket_key(store, name)] is big
+        assert store._by_property[name] is big
         assert len(big) == self.BIG  # +1 add, -1 remove, -1/+1 rename
 
     def test_batch_publish_rebuilds_only_multi_triple_buckets(self, store_cls):
         store = store_cls(concurrent=True)
         store.add_all([triple("s", "p", 0), triple("t", "q", 0)])
-        p_bucket = store._by_property[_bucket_key(store, Resource("p"))]
-        q_bucket = store._by_property[_bucket_key(store, Resource("q"))]
+        p_bucket = store._by_property[Resource("p")]
+        q_bucket = store._by_property[Resource("q")]
         with store.bulk():
             store.add_all([triple("s", "p", 1), triple("s", "p", 2),
                            triple("t", "q", 1)])
         # Two additions: rebuilt and republished, all-or-nothing.
-        assert store._by_property[_bucket_key(store, Resource("p"))] \
+        assert store._by_property[Resource("p")] \
             is not p_bucket
         # One addition: updated in place.
-        assert store._by_property[_bucket_key(store, Resource("q"))] \
+        assert store._by_property[Resource("q")] \
             is q_bucket
         assert store.count(property=Resource("p")) == 3
         assert store.count(property=Resource("q")) == 2
@@ -550,62 +492,69 @@ class TestDurabilityEdgeCases:
         with pytest.raises(OSError, match="snapshot device gone"):
             Durability(store, str(tmp_path))
         # The half-built handle left nothing behind: later mutations
-        # notify no stale listener and no atomic hook.
+        # notify no stale listener.
         assert store._listeners == []
-        assert store._atomic_listeners == []
         store.add(triple("s", "p", 2))  # would explode on a stale handle
 
-    # -- #2: auto-commits must not tear a Batch --------------------------
+    # -- #2: a Batch is all-or-nothing across a crash ------------------
 
-    def test_auto_commit_waits_for_batch_exit(self, tmp_path):
+    def test_wal_copied_mid_batch_recovers_none_of_it(self, tmp_path):
         store = TripleStore()
-        durability = Durability(store, str(tmp_path), commit_every=1)
+        durability = Durability(store, str(tmp_path))
+        store.add(triple("s", "p", 0))
+        durability.commit()
         group_before = durability.group
         with Batch(store, bulk=False):
             store.add(triple("s", "p", 1))
             store.add(triple("s", "p", 2))
-            # commit_every=1 is long exceeded, but the batch is open:
-            # nothing may hit a group boundary yet.
             assert durability.group == group_before
             assert durability.pending_changes == 2
-            # A crash here recovers NONE of the batch.
+            # A crash here recovers the committed prefix and NONE of
+            # the batch.
             torn_dir = tmp_path / "torn"
             os.makedirs(torn_dir)
             shutil.copy(tmp_path / WAL_FILE, torn_dir / WAL_FILE)
             mid_crash = TripleStore()
             recover(str(torn_dir), mid_crash)
-            assert len(mid_crash) == 0
-        # Scope exit commits the whole operation as one group.
+            assert list(mid_crash) == [triple("s", "p", 0)]
+        # Batch exit commits nothing by itself; the caller's commit
+        # closes the whole operation as one group.
+        assert durability.group == group_before
+        assert durability.commit() is True
         assert durability.group == group_before + 1
-        assert durability.pending_changes == 0
         durability.close()
         recovered = TripleStore()
-        assert recover(str(tmp_path), recovered).groups_replayed == 1
-        assert len(recovered) == 2
+        assert recover(str(tmp_path), recovered).groups_replayed == 2
+        assert len(recovered) == 3
 
     def test_rolled_back_batch_commits_as_one_clean_group(self, tmp_path):
         store = TripleStore()
-        durability = Durability(store, str(tmp_path), commit_every=1)
+        durability = Durability(store, str(tmp_path))
         with pytest.raises(RuntimeError):
             with Batch(store, bulk=False):
                 store.add(triple("s", "p", 1))
                 raise RuntimeError("boom")
-        # The add and its rollback inversion landed in the same group —
+        # The add and its rollback inversion land in the same group —
         # recovery can never resurrect half of the aborted operation.
+        assert durability.commit() is True
         durability.close()
         recovered = TripleStore()
-        recover(str(tmp_path), recovered)
+        assert recover(str(tmp_path), recovered).groups_replayed == 1
         assert len(recovered) == 0
 
-    def test_auto_commit_waits_for_bulk_ingest_exit(self, tmp_path):
-        trim = TrimManager(durable=str(tmp_path), commit_every=2)
+    def test_bulk_ingest_then_commit_is_one_group(self, tmp_path):
+        trim = TrimManager(durable=str(tmp_path))
         group_before = trim.durability.group
         with trim.bulk_ingest():
             for i in range(10):
                 trim.create(f"s{i}", "p", i)
             assert trim.durability.group == group_before
-        assert trim.durability.group == group_before + 1  # one group
+        assert trim.durability.group == group_before + 1
+        assert trim.commit() is False       # the session already closed it
         trim.close()
+        recovered = recover(str(tmp_path))
+        assert recovered.groups_replayed == 1
+        assert len(recovered.store) == 10
 
     # -- #3: empty WAL commit is a no-op ---------------------------------
 

@@ -2,8 +2,7 @@
 
 Random arithmetic expression trees are rendered both as spreadsheet
 formulas and as Python expressions; the evaluator must agree with
-Python's own arithmetic on every tree.  Also: interned-store persistence
-interop (serialization is duck-typed over any store).
+Python's own arithmetic on every tree.
 """
 
 import pytest
@@ -12,10 +11,6 @@ from hypothesis import strategies as st
 
 from repro.base.spreadsheet.formulas import evaluate_cell
 from repro.base.spreadsheet.workbook import Worksheet
-from repro.triples import persistence
-from repro.triples.interned import InternedTripleStore
-from repro.triples.store import TripleStore
-from repro.triples.triple import Resource, triple
 
 
 @st.composite
@@ -66,22 +61,3 @@ class TestFormulaShadowEvaluation:
         for row in range(1, length):
             sheet.set_cell(f"A{row}", f"=A{row + 1}")
         assert evaluate_cell(sheet, "A1") == 7.0
-
-
-class TestInternedStoreInterop:
-    def test_persistence_dumps_accepts_interned_store(self):
-        """Serialization is duck-typed: any iterable-of-triples store."""
-        interned = InternedTripleStore()
-        interned.add(triple("a", "p", 1))
-        interned.add(triple("a", "q", Resource("b")))
-        text = persistence.dumps(interned)
-        loaded = persistence.loads(text)
-        assert set(loaded) == set(interned)
-
-    def test_round_trip_through_plain_store(self):
-        plain = TripleStore()
-        plain.add(triple("a", "p", "x"))
-        text = persistence.dumps(plain)
-        reloaded_into_interned = InternedTripleStore()
-        reloaded_into_interned.add_all(persistence.loads(text))
-        assert set(reloaded_into_interned) == set(plain)

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.triples.interned import InternedTripleStore
 from repro.triples.query import Pattern, PlanStep, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
@@ -104,16 +103,6 @@ class TestPlannerEquivalence:
         off = Query(patterns, planner=False).run_all(pad_store)
         assert _canon(on) == _canon(off)
         assert len(on) == 2
-
-    def test_planner_on_both_store_implementations(self, pad_store):
-        interned = InternedTripleStore()
-        interned.add_all(pad_store.select())
-        patterns = [
-            Pattern(Var("b"), Resource("slim:bundleContent"), Var("s")),
-            Pattern(Var("s"), Resource("slim:scrapName"), Literal("K+ 3.9")),
-        ]
-        assert _canon(Query(patterns).run(pad_store)) == \
-            _canon(Query(patterns).run(interned))
 
     def test_randomized_equivalence(self):
         """Random stores × random conjunctive queries: planner on == off."""
@@ -227,17 +216,6 @@ class TestViewGenerationCache:
         before = len(snap)
         pad_store.add(triple("s1", "slim:annotation", "later"))
         assert len(snap) == before
-
-    def test_view_works_on_interned_store(self):
-        interned = InternedTripleStore()
-        interned.add_all([
-            triple("b0", "slim:bundleContent", Resource("s0")),
-            triple("s0", "slim:scrapName", "Lasix 40mg"),
-        ])
-        view = View(interned, Resource("b0"))
-        assert len(view.triples()) == 2
-        interned.add(triple("s0", "slim:note", "flagged"))
-        assert len(view.triples()) == 3
 
     def test_generationless_store_recomputes(self, pad_store):
         class BareStore:

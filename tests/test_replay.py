@@ -29,8 +29,7 @@ def _minimal(**overrides):
     bundle = {
         "version": BUNDLE_VERSION,
         "kind": "trim-replay",
-        "config": {"compact_every": 64, "commit_every": None,
-                   "fsync": False},
+        "config": {"compact_every": 64, "fsync": False},
         "seeds": {},
         "interleave": [],
         "ops": [],
@@ -126,6 +125,27 @@ class TestBundleSchema:
         single = _minimal(ops=[op])
         single["config"]["shards"] = 1   # as older captures recorded it
         assert validate_bundle(single)
+
+    def test_commit_every_absent_or_null_accepted(self):
+        """Older captures recorded ``commit_every: null``; they still load."""
+        assert "commit_every" not in _minimal()["config"]
+        assert validate_bundle(_minimal())
+        older = _minimal()
+        older["config"]["commit_every"] = None
+        assert validate_bundle(older)
+
+    @pytest.mark.parametrize("value", [1, 50, 0, "10"])
+    def test_non_null_commit_every_rejected(self, value):
+        """Auto-commit groups cannot be reproduced, so refuse loudly."""
+        bundle = _minimal()
+        bundle["config"]["commit_every"] = value
+        with pytest.raises(BundleError, match="commit_every"):
+            validate_bundle(bundle)
+
+    def test_capture_config_omits_commit_every(self, tmp_path):
+        bundle = capture_wal_kill(str(tmp_path / "capture"), seed=5)
+        assert "commit_every" not in bundle["config"]
+        assert validate_bundle(bundle)
 
     def test_terminal_op_must_be_last(self):
         ops = [{"op": "kill", "offset": 12}, {"op": "commit"}]

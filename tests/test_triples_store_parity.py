@@ -1,25 +1,36 @@
-"""Store-parity suite: the shared contract of both store implementations.
+"""Store contract suite: :class:`TripleStore` in both of its modes.
 
-Every test here runs against :class:`TripleStore` *and*
-:class:`InternedTripleStore` via one parametrized fixture — the coverage
-the ablation bench (``benchmarks/test_ablation_store_impls.py``) relies on
-but never pinned.  Anything TRIM-level code may call on "a store" belongs
-here: mutation, selection, single-value reads, iteration order, statistics
-(:meth:`count` / :attr:`generation`), and ``estimated_bytes`` sanity.
+Every test here runs against a plain ``TripleStore()`` (the in-process
+SLIMPad's mode) *and* ``TripleStore(concurrent=True)`` (every tenant
+``repro serve`` opens) via one parametrized fixture.  Anything TRIM-level
+code may call on "a store" belongs here: mutation, selection,
+single-value reads, iteration order, statistics (:meth:`count` /
+:attr:`generation`), and ``estimated_bytes`` sanity.  :class:`TestNaiveOracle`
+closes the suite by driving both modes against a plain-dict model.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransactionError, TripleNotFoundError
-from repro.triples.interned import InternedTripleStore
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, UndoLog
 from repro.triples.triple import Literal, Resource, Triple, triple
 
-STORE_CLASSES = [TripleStore, InternedTripleStore]
+
+def _concurrent_store() -> TripleStore:
+    return TripleStore(concurrent=True)
 
 
-@pytest.fixture(params=STORE_CLASSES, ids=lambda cls: cls.__name__)
+STORE_FACTORIES = [TripleStore, _concurrent_store]
+
+
+def _factory_id(factory) -> str:
+    return "concurrent" if factory is _concurrent_store else "TripleStore"
+
+
+@pytest.fixture(params=STORE_FACTORIES, ids=_factory_id)
 def store(request):
     s = request.param()
     s.add(triple("b1", "slim:bundleName", "Electrolyte"))
@@ -30,7 +41,7 @@ def store(request):
     return s
 
 
-@pytest.fixture(params=STORE_CLASSES, ids=lambda cls: cls.__name__)
+@pytest.fixture(params=STORE_FACTORIES, ids=_factory_id)
 def empty_store(request):
     return request.param()
 
@@ -474,20 +485,6 @@ class TestBulkLoadParity:
             assert len(empty_store) == 10
         assert empty_store.select() == items
 
-    def test_cross_implementation_bulk_agreement(self):
-        from repro.workloads.generator import random_triples
-        items = random_triples(300, num_subjects=30, num_properties=5)
-        plain, interned = TripleStore(), InternedTripleStore()
-        with plain.bulk():
-            plain.add_all(items)
-        with interned.bulk():
-            interned.add_all(items)
-        assert list(plain) == list(interned)
-        for t in items[::13]:
-            kwargs = {"subject": t.subject, "property": t.property}
-            assert plain.select(**kwargs) == interned.select(**kwargs)
-            assert plain.count(**kwargs) == interned.count(**kwargs)
-
 
 class TestBatchBulkParity:
     """Batches ride the bulk path; undo/restore behavior must be byte-for-
@@ -505,8 +502,7 @@ class TestBatchBulkParity:
         log.checkpoint()
         return log, batch.changes
 
-    @pytest.mark.parametrize("store_cls", STORE_CLASSES,
-                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("store_cls", STORE_FACTORIES, ids=_factory_id)
     def test_undo_restore_sequences_identical(self, store_cls):
         bulk_store, per_op_store = store_cls(), store_cls()
         bulk_log, bulk_changes = self._run_script(bulk_store, bulk=True)
@@ -524,8 +520,7 @@ class TestBatchBulkParity:
         assert [bulk_store.sequence_of(t) for t in bulk_store] == \
             [per_op_store.sequence_of(t) for t in per_op_store]
 
-    @pytest.mark.parametrize("store_cls", STORE_CLASSES,
-                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("store_cls", STORE_FACTORIES, ids=_factory_id)
     def test_batch_rollback_identical_under_bulk(self, store_cls):
         for bulk in (True, False):
             store = store_cls()
@@ -538,8 +533,7 @@ class TestBatchBulkParity:
             assert list(store) == [triple("keep", "p", 0)], f"bulk={bulk}"
             assert store.sequence_of(triple("keep", "p", 0)) == 0
 
-    @pytest.mark.parametrize("store_cls", STORE_CLASSES,
-                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("store_cls", STORE_FACTORIES, ids=_factory_id)
     def test_batch_refuses_to_open_inside_bulk(self, store_cls):
         store = store_cls()
         with store.bulk():
@@ -547,35 +541,133 @@ class TestBatchBulkParity:
                 Batch(store).__enter__()
 
 
-class TestCrossImplementationAgreement:
-    """Both stores give identical answers on a generated workload."""
+# ---------------------------------------------------------------------------
+# naive oracle: both modes against a plain dict of triple -> sequence
 
-    def test_same_answers_on_random_workload(self):
-        from repro.workloads.generator import random_triples
-        items = random_triples(400, num_subjects=40, num_properties=6)
-        plain, interned = TripleStore(), InternedTripleStore()
-        plain.add_all(items)
-        interned.add_all(items)
-        assert len(plain) == len(interned)
-        for t in items[::7]:
-            for kwargs in ({"subject": t.subject},
-                           {"property": t.property},
-                           {"value": t.value},
-                           {"subject": t.subject, "property": t.property},
-                           {"property": t.property, "value": t.value}):
-                assert plain.select(**kwargs) == interned.select(**kwargs)
-                assert plain.count(**kwargs) == interned.count(**kwargs)
+_S = [Resource(f"s{i}") for i in range(3)]
+_P = [Resource(f"p{i}") for i in range(2)]
+_V = [Literal(1), Literal("x"), _S[0], _S[1]]
+_UNIVERSE = [Triple(s, p, v) for s in _S for p in _P for v in _V]
+_PATTERN_NODES = [(s, p, v) for s in (None, _S[0]) for p in (None, _P[1])
+                  for v in (None, _S[1])]
 
-    def test_same_answers_after_interleaved_removals(self):
-        from repro.workloads.generator import random_triples
-        items = random_triples(200, num_subjects=20, num_properties=4)
-        plain, interned = TripleStore(), InternedTripleStore()
-        plain.add_all(items)
-        interned.add_all(items)
-        for t in list(dict.fromkeys(items))[::3]:
-            plain.remove(t)
-            interned.remove(t)
-        assert list(plain) == list(interned)
-        for t in items[::11]:
-            assert plain.count(subject=t.subject, property=t.property) == \
-                interned.count(subject=t.subject, property=t.property)
+_triples = st.sampled_from(_UNIVERSE)
+_changes = st.lists(st.tuples(st.sampled_from(["add", "discard"]), _triples),
+                    max_size=6)
+_steps = st.one_of(
+    st.tuples(st.just("add"), _triples),
+    st.tuples(st.just("discard"), _triples),
+    st.tuples(st.just("remove_matching"), st.sampled_from(_PATTERN_NODES)),
+    st.tuples(st.just("restore"), st.integers(0, 50)),
+    st.tuples(st.just("bulk"), st.lists(_triples, max_size=6)),
+    st.tuples(st.just("rolled_back_batch"), _changes),
+)
+
+
+class _Model:
+    """The store's contract as a dict of present triple -> sequence."""
+
+    def __init__(self):
+        self.seqs = {}
+        self.next_seq = 0
+        self.graveyard = {}      # removed triple -> the sequence it held
+
+    def add(self, t):
+        if t not in self.seqs:
+            self.seqs[t] = self.next_seq
+            self.next_seq += 1
+
+    def remove(self, t):
+        self.graveyard[t] = self.seqs.pop(t)
+
+    def restore(self, t, seq):
+        if t not in self.seqs:
+            self.seqs[t] = seq
+            self.next_seq = max(self.next_seq, seq + 1)
+
+    def order(self):
+        return sorted(self.seqs, key=self.seqs.__getitem__)
+
+
+def _apply(store, model, step):
+    kind, arg = step
+    if kind == "add":
+        assert store.add(arg) == (arg not in model.seqs)
+        model.add(arg)
+    elif kind == "discard":
+        assert store.discard(arg) == (arg in model.seqs)
+        if arg in model.seqs:
+            model.remove(arg)
+    elif kind == "remove_matching":
+        victims = [t for t in model.order() if _matches(t, arg)]
+        assert store.remove_matching(*arg) == len(victims)
+        for t in victims:
+            model.remove(t)
+    elif kind == "restore" and model.graveyard:
+        t, seq = sorted(model.graveyard.items(), key=lambda item: item[1])[
+            arg % len(model.graveyard)]
+        assert store.restore(t, seq) == (t not in model.seqs)
+        model.restore(t, seq)
+    elif kind == "bulk":
+        with store.bulk():
+            for t in arg:
+                store.add(t)
+                model.add(t)
+                assert t in store and len(store) == len(model.seqs)
+    elif kind == "rolled_back_batch":
+        # Pending adds roll back with the bulk abort, which rewinds the
+        # sequence counter to the last flush; a removal flushes first.
+        mark = model.next_seq
+        with pytest.raises(RuntimeError):
+            with Batch(store):
+                for action, t in arg:
+                    if action == "add" and store.add(t):
+                        model.next_seq += 1
+                    elif action == "discard" and store.discard(t):
+                        mark = model.next_seq
+                raise RuntimeError("roll back")
+        model.next_seq = mark
+
+
+def _matches(t, pattern):
+    return all(want is None or want == got
+               for want, got in zip(pattern, (t.subject, t.property, t.value)))
+
+
+def _check(store, model):
+    order = model.order()
+    assert list(store) == order
+    assert len(store) == len(order)
+    assert [store.sequence_of(t) for t in order] == \
+        [model.seqs[t] for t in order]
+    for probe in _UNIVERSE[::5]:
+        for mask in range(8):
+            pattern = tuple(node if mask & (1 << i) else None
+                            for i, node in enumerate(
+                                (probe.subject, probe.property, probe.value)))
+            expected = [t for t in order if _matches(t, pattern)]
+            assert store.select(*pattern) == expected
+            assert sorted(store.match(*pattern), key=model.seqs.__getitem__) \
+                == expected
+            subject, prop, value = pattern
+            if subject is not None and prop is None and value is not None:
+                # (subject, value) has no compound index: count is the
+                # smaller single-field bucket, an upper bound.
+                assert store.count(*pattern) == min(
+                    sum(t.subject == subject for t in order),
+                    sum(t.value == value for t in order))
+            else:
+                assert store.count(*pattern) == len(expected)
+
+
+class TestNaiveOracle:
+    """Both modes agree with the dict model after every step."""
+
+    @pytest.mark.parametrize("factory", STORE_FACTORIES, ids=_factory_id)
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_steps, max_size=25))
+    def test_store_matches_dict_model(self, factory, steps):
+        store, model = factory(), _Model()
+        for step in steps:
+            _apply(store, model, step)
+            _check(store, model)

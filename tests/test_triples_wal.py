@@ -26,7 +26,7 @@ from repro.triples.trim import TrimManager
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
 from repro.triples.wal import (DELTAS_FILE, MAGIC, SNAPSHOT_FILE, WAL_FILE,
-                               Durability, WriteAheadLog, decode_record,
+                               WriteAheadLog, decode_record,
                                encode_change, encode_commit, recover,
                                scan_deltas, scan_wal)
 from repro.util.env import env_int
@@ -257,34 +257,22 @@ class TestGroupCommitBuffering:
             wal.commit()
 
 
-class TestAutoGroupCommit:
-    def test_commit_every_coalesces_changes_into_groups(self, tmp_path):
+class TestExplicitGroupCommit:
+    def test_groups_close_only_on_explicit_commit(self, tmp_path):
         directory = str(tmp_path)
-        trim = TrimManager(durable=directory, commit_every=10)
+        trim = TrimManager(durable=directory)
         for i in range(25):
             trim.create(f"r{i}", "p", i)
-        assert trim.durability.group == 2          # two full auto-groups
-        assert trim.durability.pending_changes == 5
-        trim.commit()                              # flush the remainder
+        assert trim.durability.group == 0
+        assert trim.durability.pending_changes == 25
+        trim.commit()
+        for i in range(3):
+            trim.create(f"s{i}", "p", i)
+        trim.commit()
         trim.close()
         scan = scan_wal(os.path.join(directory, WAL_FILE))
-        assert [len(changes) for _, changes in scan.groups] == [10, 10, 5]
-        assert len(recover(directory).store) == 25
-
-    def test_explicit_commit_resets_the_running_count(self, tmp_path):
-        trim = TrimManager(durable=str(tmp_path), commit_every=5)
-        for i in range(3):
-            trim.create(f"r{i}", "p", i)
-        trim.commit()
-        for i in range(4):
-            trim.create(f"s{i}", "p", i)
-        # 3 + 4 = 7 > 5, but the explicit commit reset the count.
-        assert trim.durability.pending_changes == 4
-        trim.close()
-
-    def test_bad_commit_every_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            Durability(TripleStore(), str(tmp_path), commit_every=0)
+        assert [len(changes) for _, changes in scan.groups] == [25, 3]
+        assert len(recover(directory).store) == 28
 
 
 def _scripted_run(directory, compact_every=10_000):
