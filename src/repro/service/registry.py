@@ -340,8 +340,13 @@ class PadRegistry:
     **Heap policy (process-wide).**  A cold open builds tens of
     thousands of long-lived objects (triples, index sets, nodes).  Left
     to the cyclic collector they set off a full collection every few
-    opens, each walking every live tenant.  So after each cold open the
-    registry calls ``gc.freeze()`` (O(1)), which moves *every* object
+    opens, each walking every live tenant, and young collections during
+    the open itself, each walking the objects the open just built.  So
+    the collector is paused for the duration of every cold open (a
+    count of concurrent opens decides when to resume it, and it resumes
+    only if it was enabled when the first of them began, also when an
+    open fails), and after each cold open the registry calls
+    ``gc.freeze()`` (O(1)), which moves *every* object
     then alive in the process, not just this registry's, into the
     permanent generation that collections skip.  Evicted tenants hold
     no reference cycles and are freed by reference counting alone.  A
@@ -380,6 +385,10 @@ class PadRegistry:
         # and the last reconcile's (seconds, objects collected, objects
         # frozen).
         self._reconciled_opens = 0
+        # Cold opens in flight, and whether the collector was enabled
+        # when the first of them paused it.
+        self._paused_opens = 0
+        self._collector_was_enabled = False
         self._reconciles = 0
         self._last_reconcile: Tuple[Optional[float], Optional[int],
                                     Optional[int]] = (None, None, None)
@@ -417,25 +426,47 @@ class PadRegistry:
             # open outside the registry lock — recovery can be slow —
             # but inside the name lock, so a concurrent acquire of the
             # same name waits instead of double-opening the WAL.
-            handle = TenantHandle(
-                name, os.path.join(self.root, name),
-                high_water=self.high_water, max_batch=self.max_batch,
-                compact_every=self.compact_every)
-            with self._lock:
-                if self._closed:
-                    # Lost the race with close_all(): roll back the open.
-                    handle.close()
-                    raise ServiceUnavailableError("registry is closed")
-                self._tenants[name] = handle
-                self._opens += 1
-                self._open_latencies.append(handle.open_seconds)
-                del self._open_latencies[:-self._OPEN_LATENCY_WINDOW]
-                handle.refcount += 1
-                handle.touch()
-            # The open just built the tenant's long-lived heap: move it,
-            # with everything else alive, out of the collector's sight.
-            gc.freeze()
-            return handle
+            self._pause_collector()
+            try:
+                handle = TenantHandle(
+                    name, os.path.join(self.root, name),
+                    high_water=self.high_water, max_batch=self.max_batch,
+                    compact_every=self.compact_every)
+                with self._lock:
+                    if self._closed:
+                        # Lost the race with close_all(): roll back.
+                        handle.close()
+                        raise ServiceUnavailableError("registry is closed")
+                    self._tenants[name] = handle
+                    self._opens += 1
+                    self._open_latencies.append(handle.open_seconds)
+                    del self._open_latencies[:-self._OPEN_LATENCY_WINDOW]
+                    handle.refcount += 1
+                    handle.touch()
+                # The open just built the tenant's long-lived heap: move
+                # it, with everything else alive, out of the collector's
+                # sight before the collector runs again.
+                gc.freeze()
+                return handle
+            finally:
+                self._resume_collector()
+
+    def _pause_collector(self) -> None:
+        """Disable the cyclic collector for one cold open (see the class
+        docstring); pairs with :meth:`_resume_collector`."""
+        with self._lock:
+            if self._paused_opens == 0:
+                self._collector_was_enabled = gc.isenabled()
+                gc.disable()
+            self._paused_opens += 1
+
+    def _resume_collector(self) -> None:
+        """End one cold open's pause; the last open out re-enables the
+        collector if it was enabled before the first one paused it."""
+        with self._lock:
+            self._paused_opens -= 1
+            if self._paused_opens == 0 and self._collector_was_enabled:
+                gc.enable()
 
     def release(self, handle: TenantHandle) -> None:
         """Drop one reference taken by :meth:`acquire`."""

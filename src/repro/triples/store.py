@@ -32,8 +32,8 @@ in between.
 from __future__ import annotations
 
 import threading
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, ItemsView, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from repro.errors import TransactionError, TripleNotFoundError
 from repro.triples.triple import Literal, Node, Resource, Triple
@@ -345,6 +345,18 @@ class TripleStore:
             if sequence is not None:
                 return sequence
         raise TripleNotFoundError(f"triple not in store: {triple}")
+
+    def sequenced(self) -> ItemsView[Triple, int]:
+        """Every ``(triple, sequence)`` pair, in iteration order.
+
+        A live view of the membership map, not a copy: iterate it while
+        holding :attr:`lock`, which every writer takes, and the pairs
+        form one consistent state.  On the bulk-owner thread, pending
+        inserts are flushed first.  The snapshot writer reads it instead
+        of probing :meth:`sequence_of` once per triple.
+        """
+        self._read_barrier()
+        return self._triples.items()
 
     def restore_all(self, items: Iterable[Tuple[Triple, int]]) -> int:
         """Batch :meth:`restore`: insert many (triple, sequence) pairs.

@@ -46,6 +46,16 @@ class Resource:
             raise InvalidTripleError("Resource uri must be non-empty")
         object.__setattr__(self, "_hash", hash(self.uri))
 
+    @classmethod
+    def _trusted(cls, uri: str) -> "Resource":
+        """Build a resource from a *uri* the caller has already checked
+        to be non-empty, skipping the dataclass constructor (the v3
+        snapshot decoder builds every dictionary node this way)."""
+        node = cls.__new__(cls)
+        object.__setattr__(node, "uri", uri)
+        object.__setattr__(node, "_hash", hash(uri))
+        return node
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -86,6 +96,16 @@ class Literal:
             raise InvalidTripleError(
                 f"Literal must wrap str/int/float/bool, got {type(self.value).__name__}")
         object.__setattr__(self, "_hash", hash(self._key()))
+
+    @classmethod
+    def _trusted(cls, value: LiteralValue) -> "Literal":
+        """Build a literal from a *value* the caller has already checked
+        to be a str/int/float/bool, skipping the dataclass constructor
+        (the v3 snapshot decoder builds every dictionary node this way)."""
+        node = cls.__new__(cls)
+        object.__setattr__(node, "value", value)
+        object.__setattr__(node, "_hash", hash(node._key()))
+        return node
 
     def _key(self) -> "tuple[type, LiteralValue]":
         return (type(self.value), self.value)

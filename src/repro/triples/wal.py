@@ -400,16 +400,25 @@ class WriteAheadLog:
         self._buffer: List[bytes] = []
         self._file: Optional[IO[bytes]] = None
         try:
+            # Only a log that is exactly its magic header is left
+            # untouched.  (Re)creating the file or cutting a tail off it
+            # needs an fsync, and so does a log that holds committed
+            # groups: a process that died between a commit's write and
+            # its fsync left that group in the page cache alone, and
+            # replay is about to serve it.
             if scan.committed_end == 0:
                 self._file = open(path, "wb")
                 self._file.write(MAGIC)
                 self._good_end = len(MAGIC)
             else:
                 self._file = open(path, "r+b")
-                self._file.truncate(scan.committed_end)
                 self._file.seek(scan.committed_end)
                 self._good_end = scan.committed_end
-            self._flush()
+                if scan.total_bytes != scan.committed_end:
+                    self._file.truncate(scan.committed_end)
+            if scan.committed_end != len(MAGIC) \
+                    or scan.total_bytes != len(MAGIC):
+                self._flush()
         except OSError as exc:
             raise PersistenceError(f"cannot open WAL {path}: {exc}") from exc
 
@@ -485,17 +494,10 @@ class WriteAheadLog:
         monotonic across compactions so replay can skip groups a
         snapshot already covers.  *group* (when given) fast-forwards the
         counter, used when recovery found a snapshot newer than the log.
+        A log whose body is already empty is not touched on disk.
         """
         with self._lock:
-            file = self._require_open()
-            try:
-                file.seek(len(MAGIC))
-                file.truncate(len(MAGIC))
-            except OSError as exc:
-                raise PersistenceError(
-                    f"cannot reset WAL {self.path}: {exc}") from exc
-            self._flush()
-            self._good_end = len(MAGIC)
+            self._truncate_body()
             if group is not None:
                 self._group = max(self._group, group)
             self._buffer.clear()
@@ -513,15 +515,7 @@ class WriteAheadLog:
         nothing that is not already in the delta log.
         """
         with self._lock:
-            file = self._require_open()
-            try:
-                file.seek(len(MAGIC))
-                file.truncate(len(MAGIC))
-            except OSError as exc:
-                raise PersistenceError(
-                    f"cannot reset WAL {self.path}: {exc}") from exc
-            self._flush()
-            self._good_end = len(MAGIC)
+            self._truncate_body()
 
     def close(self) -> None:
         """Write any buffered records, flush, and close (idempotent).
@@ -529,7 +523,8 @@ class WriteAheadLog:
         Uncommitted records are written *without* a boundary record:
         recovery discards them, but :func:`scan_wal` still reports them
         as ``pending`` — the same on-disk shape per-append writes left
-        behind before group commit.
+        behind before group commit.  Only a close that wrote them
+        fsyncs; every commit already fsynced its own group.
         """
         with self._lock:
             if self._file is None:
@@ -543,7 +538,7 @@ class WriteAheadLog:
                     except OSError as exc:
                         raise PersistenceError(
                             f"cannot append to WAL {self.path}: {exc}") from exc
-                self._flush()
+                    self._flush()
             finally:
                 if self._file is not None:
                     self._file.close()
@@ -555,6 +550,25 @@ class WriteAheadLog:
         if self._file is None:
             raise PersistenceError(f"WAL {self.path} is closed")
         return self._file
+
+    def _truncate_body(self) -> None:
+        """Cut the file back to its magic header, unless it already is.
+
+        The file never extends past ``_good_end`` while open (commits
+        advance it, failed commits rewind to it), so a log at its header
+        needs no truncate and no fsync.
+        """
+        file = self._require_open()
+        if self._good_end == len(MAGIC):
+            return
+        try:
+            file.seek(len(MAGIC))
+            file.truncate(len(MAGIC))
+        except OSError as exc:
+            raise PersistenceError(
+                f"cannot reset WAL {self.path}: {exc}") from exc
+        self._flush()
+        self._good_end = len(MAGIC)
 
     def _rewind(self) -> None:
         """Drop a partially written group after a failed commit.
@@ -749,6 +763,9 @@ class RecoveryResult(NamedTuple):
     #: per-stage wall-clock timings (``snapshot_s``/``deltas_s``/``wal_s``);
     #: ``wal_s`` includes the bulk-load index build at scope exit.
     stage_seconds: Optional[Dict[str, float]] = None
+    #: the snapshot's uncompressed size in bytes (0 if none), as
+    #: :func:`repro.triples.persistence.save_snapshot` returns it
+    snapshot_bytes: int = 0
 
 
 def recover(directory: str,
@@ -780,6 +797,7 @@ def recover(directory: str,
     snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
     snapshot_group = 0
     snapshot_triples = 0
+    snapshot_bytes = 0
     t_start = time.perf_counter()
     if os.path.exists(snapshot_path):
         # Streamed straight into the target store (constant parse memory)
@@ -788,6 +806,7 @@ def recover(directory: str,
                                              store=store)
         snapshot_group = snapshot.group
         snapshot_triples = len(store)
+        snapshot_bytes = snapshot.raw_bytes
     t_snapshot = time.perf_counter()
     delta_scan = scan_deltas(os.path.join(directory, DELTAS_FILE))
     scan = scan_wal(os.path.join(directory, WAL_FILE))
@@ -836,7 +855,7 @@ def recover(directory: str,
                           groups_replayed, changes_replayed, last_group,
                           scan.total_bytes - scan.valid_end, registry,
                           delta_segments, delta_changes, covered,
-                          stage_seconds)
+                          stage_seconds, snapshot_bytes)
 
 
 # -- the durability orchestrator ---------------------------------------------
@@ -909,14 +928,20 @@ class Durability:
             raise
         self._covered_group = (self.recovered.covered_group
                                if self.recovered is not None else 0)
+        #: Uncompressed size of the snapshot on disk: the basis of the
+        #: full-rewrite trigger (see :meth:`_full_rewrite_due`).
+        self._snapshot_bytes = (self.recovered.snapshot_bytes
+                                if self.recovered is not None else 0)
         self._delta_compactions = 0
         self._full_compactions = 0
         if self.recovered is not None \
                 and self.recovered.covered_group > self._wal.group:
-            # Crash between the covering write (snapshot rename or delta
-            # append) and the log reset: every logged group is covered.
-            # Finish the interrupted reset and fast-forward the counter,
-            # so fresh commits get numbers replay will not skip.
+            # Every logged group is covered: either a compaction emptied
+            # the log (every clean open after one), or a crash fell
+            # between the covering write (snapshot rename or delta
+            # append) and the log reset.  Finish any interrupted reset
+            # and fast-forward the counter, so fresh commits get numbers
+            # replay will not skip; an already-empty log costs no I/O.
             self._wal.reset(group=self.recovered.last_group)
         self._groups_since_snapshot = (self.recovered.groups_replayed
                                        if self.recovered is not None else 0)
@@ -1013,8 +1038,9 @@ class Durability:
 
     def _compact_locked(self) -> None:
         with self._meta_lock:
-            persistence.save_snapshot(self._store, self._snapshot_path,
-                                      self.namespaces, group=self._wal.group)
+            self._snapshot_bytes = persistence.save_snapshot(
+                self._store, self._snapshot_path, self.namespaces,
+                group=self._wal.group)
             self._deltas.reset()
             self._wal.reset()
             self._covered_group = self._wal.group
@@ -1157,13 +1183,15 @@ class Durability:
     _DELTA_FLOOR_BYTES = 64 * 1024
 
     def _full_rewrite_due(self) -> bool:
-        """Whether the delta log has outgrown the snapshot it amends."""
-        try:
-            snapshot_bytes = os.path.getsize(self._snapshot_path)
-        except OSError:
-            snapshot_bytes = 0
+        """Whether the delta log has outgrown the snapshot it amends.
+
+        The snapshot counts at its *uncompressed* size: the delta log is
+        stored raw, and measured against the ~3x smaller compressed
+        file the trigger would fire ~3x as often, rewriting the whole
+        store for the same amount of change.
+        """
         threshold = max(self._DELTA_FLOOR_BYTES,
-                        self.delta_ratio * snapshot_bytes)
+                        self.delta_ratio * self._snapshot_bytes)
         return self._deltas.size > threshold
 
     def _on_change(self, action: str, triple: Triple, sequence: int) -> None:

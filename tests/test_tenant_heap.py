@@ -21,6 +21,7 @@ import weakref
 
 import pytest
 
+from repro.errors import PersistenceError
 from repro.service.client import ServiceClient
 from repro.service.registry import PadRegistry
 from repro.service.server import MUTATIONS, READS, TrimService
@@ -173,6 +174,49 @@ class TestFrozenHeap:
         assert registry.reconcile_heap() is False
         assert registry.heap_stats()["reconciles"] == 1
         registry.release(handle)
+        registry.close_all()
+
+    def test_cold_open_runs_no_collection(self, tmp_path):
+        directory = str(tmp_path / "ward")
+        trim = TrimManager(durable=directory)
+        for i in range(3000):
+            trim.create(f"slim:s{i}", "slim:name", f"scrap {i}")
+        trim.commit()
+        trim.durability.compact()
+        trim.close()
+        # A small threshold makes the cold open's allocations trip young
+        # collections within a few hundred objects if the collector runs.
+        old_threshold = gc.get_threshold()
+        gc.set_threshold(100, 10, 10)
+        try:
+            registry = PadRegistry(str(tmp_path), idle_ttl=0.0)
+            assert gc.isenabled()
+            before = [g["collections"] for g in gc.get_stats()]
+            handle = registry.acquire("ward")
+            after = [g["collections"] for g in gc.get_stats()]
+            assert len(handle.trim.store) == 3000
+            assert after == before
+            assert gc.isenabled()
+            registry.release(handle)
+            registry.close_all()
+        finally:
+            gc.set_threshold(*old_threshold)
+
+    def test_collector_resumes_after_a_failed_open(self, tmp_path):
+        registry = PadRegistry(str(tmp_path), idle_ttl=0.0)
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "snapshot.slim").write_bytes(b"not a snapshot")
+        with pytest.raises(PersistenceError):
+            registry.acquire("broken")
+        assert gc.isenabled()
+        # A collector that was off before the open stays off.
+        gc.disable()
+        try:
+            registry.release(registry.acquire("fine"))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
         registry.close_all()
 
     def test_admin_stats_carries_the_heap_block(self, tmp_path):

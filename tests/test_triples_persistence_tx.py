@@ -1,5 +1,8 @@
 """Tests for XML persistence, batches/undo, and the TrimManager façade."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -314,9 +317,10 @@ class TestV3SnapshotFormat:
             s.add(triple("the-shared-subject", "the-shared-property", i))
         path = str(tmp_path / "snap.slim")
         persistence.save_snapshot(s, path)
-        data = open(path, "rb").read()
-        assert data.count(b"the-shared-subject") == 1
-        assert data.count(b"the-shared-property") == 1
+        nodes = _dictionary_nodes(open(path, "rb").read())
+        assert len(nodes) == 52
+        assert nodes.count(Resource("the-shared-subject")) == 1
+        assert nodes.count(Resource("the-shared-property")) == 1
 
     def test_namespaces_restored(self, tmp_path):
         registry = NamespaceRegistry()
@@ -358,6 +362,161 @@ class TestV3SnapshotFormat:
         persistence.save_snapshot(s, path)
         loaded = persistence.load_snapshot(path).document.store
         assert list(loaded) == list(s)
+
+
+def _stored_segments(data):
+    """The ``(kind, stored payload)`` segments of a v3 snapshot."""
+    assert data[:8] == persistence.SNAPSHOT_MAGIC_V3
+    segments = []
+    offset = 8
+    frame = persistence._SEG
+    while offset < len(data):
+        kind, length, _crc = frame.unpack_from(data, offset)
+        offset += frame.size
+        segments.append((kind, data[offset:offset + length]))
+        offset += length
+    return segments
+
+
+def _raw_segments(data):
+    """The segments with every ``d``/``t`` payload inflated and
+    relabelled ``D``/``T``: the uncompressed form of the snapshot."""
+    raw = []
+    for kind, payload in _stored_segments(data):
+        if kind in (ord("d"), ord("t")):
+            raw.append((ord(chr(kind).upper()),
+                        persistence._inflate(payload, "test")))
+        else:
+            raw.append((kind, payload))
+    return raw
+
+
+def _framed(segments):
+    """A v3 file from ``(kind, payload)`` segments, each CRC-framed."""
+    out = bytearray(persistence.SNAPSHOT_MAGIC_V3)
+    for kind, payload in segments:
+        persistence._append_segment(out, kind, payload)
+    return bytes(out)
+
+
+def _dictionary_nodes(data):
+    nodes = []
+    for kind, payload in _raw_segments(data):
+        if kind == ord("D"):
+            persistence._decode_dictionary(payload, "test", nodes)
+    return nodes
+
+
+def _canonical(store):
+    """Order, sequences and exact literal values (types, signed zeros
+    and NaNs included), comparable across a round trip."""
+    def node(n):
+        if isinstance(n, Resource):
+            return ("r", n.uri)
+        return (type(n.value).__name__, repr(n.value))
+    return [(node(t.subject), node(t.property), node(t.value),
+             store.sequence_of(t)) for t in store]
+
+
+def _pad_store(count=600):
+    s = TripleStore()
+    for i in range(count):
+        s.add(triple(f"scrap-{i:06d}", "slim:scrapName", f"K+ {i % 40}.0"))
+        s.add(triple(f"bundle-{i % 17:06d}", "slim:bundleContent",
+                     Resource(f"scrap-{i:06d}")))
+    return s
+
+
+class TestCompressedV3Segments:
+    """Dictionary and row segments are stored zlib-compressed as ``d``/
+    ``t`` kinds; files holding raw ``D``/``T`` segments still load."""
+
+    def test_writer_compresses_dictionary_and_rows(self, tmp_path):
+        path = str(tmp_path / "snap.slim")
+        raw_size = persistence.save_snapshot(_pad_store(), path, group=4)
+        data = open(path, "rb").read()
+        kinds = {chr(kind) for kind, _ in _stored_segments(data)}
+        assert kinds == {"H", "d", "t", "E"}
+        legacy = _framed(_raw_segments(data))
+        # save_snapshot reports the uncompressed size: exactly the size
+        # of the same snapshot with raw D/T segments.
+        assert raw_size == len(legacy)
+        assert len(data) * 2 < len(legacy)
+
+    def test_legacy_uncompressed_v3_still_loads(self, tmp_path):
+        store = _pad_store()
+        store.restore(triple("late", "p", -0.0), 10**6)
+        path = str(tmp_path / "snap.slim")
+        persistence.save_snapshot(store, path, group=7)
+        legacy = _framed(_raw_segments(open(path, "rb").read()))
+        legacy_path = str(tmp_path / "legacy.slim")
+        open(legacy_path, "wb").write(legacy)
+        snapshot = persistence.load_snapshot(legacy_path)
+        assert snapshot.group == 7
+        assert snapshot.raw_bytes == len(legacy)
+        assert _canonical(snapshot.document.store) == _canonical(store)
+        compressed = persistence.load_snapshot(path)
+        assert compressed.raw_bytes == len(legacy)
+
+    @given(values=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, float("nan"), -float("nan"),
+                         float("inf"), -float("inf")]),
+        st.floats(), st.integers(-2**62, 2**62), st.booleans(),
+        st.text(max_size=8)), max_size=12))
+    def test_round_trip_keeps_signed_zeros_and_nans(self, values,
+                                                    tmp_path_factory):
+        path = str(tmp_path_factory.getbasetemp() / "v3-floats.slim")
+        s = TripleStore()
+        for i, value in enumerate(values):
+            s.add(triple(f"s{i}", "p", value))
+            s.add(triple("shared", f"q{i}", value))
+        persistence.save_snapshot(s, path)
+        loaded = persistence.load_snapshot(path).document.store
+        assert _canonical(loaded) == _canonical(s)
+
+    def _with_dictionary_payload(self, tmp_path, rewrite):
+        """Save a snapshot, replace its first ``d`` payload with
+        ``rewrite(raw, stored)`` re-framed under a valid CRC, and return
+        the path of the damaged file."""
+        path = str(tmp_path / "snap.slim")
+        persistence.save_snapshot(_pad_store(50), path)
+        data = open(path, "rb").read()
+        segments = _stored_segments(data)
+        index = next(i for i, (kind, _) in enumerate(segments)
+                     if kind == ord("d"))
+        stored = segments[index][1]
+        raw = persistence._inflate(stored, "test")
+        segments[index] = (ord("d"), rewrite(raw, stored))
+        open(path, "wb").write(_framed(segments))
+        return path
+
+    @pytest.mark.parametrize("case", [
+        "prefix-short", "prefix-long", "prefix-tiny", "truncated-stream",
+        "trailing-bytes", "not-zlib", "no-prefix"])
+    def test_damaged_compressed_segment_is_refused(self, case, tmp_path):
+        def prefix(length, body):
+            return struct.pack(">I", length) + body
+
+        rewrites = {
+            "prefix-short": lambda raw, stored: prefix(
+                len(raw) - 1, stored[4:]),
+            "prefix-long": lambda raw, stored: prefix(
+                len(raw) + 1, stored[4:]),
+            "prefix-tiny": lambda raw, stored: prefix(0, stored[4:]),
+            "truncated-stream": lambda raw, stored: stored[:-3],
+            "trailing-bytes": lambda raw, stored: stored + b"\x00",
+            "not-zlib": lambda raw, stored: prefix(len(raw), raw),
+            "no-prefix": lambda raw, stored: b"\x00\x01",
+        }
+        path = self._with_dictionary_payload(tmp_path, rewrites[case])
+        with pytest.raises(PersistenceError):
+            persistence.load_snapshot(path)
+        # Sanity: the undamaged rewrite loads, so the refusal above is
+        # the damage, not the re-framing.
+        intact = self._with_dictionary_payload(
+            tmp_path, lambda raw, stored: prefix(
+                len(raw), zlib.compress(raw)))
+        assert len(persistence.load_snapshot(intact).document.store) == 100
 
 
 class TestAtomicSave:

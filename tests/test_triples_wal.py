@@ -26,7 +26,7 @@ from repro.triples.trim import TrimManager
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
 from repro.triples.wal import (DELTAS_FILE, MAGIC, SNAPSHOT_FILE, WAL_FILE,
-                               WriteAheadLog, decode_record,
+                               Durability, WriteAheadLog, decode_record,
                                encode_change, encode_commit, recover,
                                scan_deltas, scan_wal)
 from repro.util.env import env_int
@@ -904,3 +904,141 @@ class TestDurabilityLifecycle:
         trim.close()
         assert list(recover(directory).store) == [
             triple("x", "p", "from file")]
+
+
+def _uncompressed_size(path):
+    """The size *path* would have with every compressed ``d``/``t``
+    segment stored raw — recomputed here from the file itself."""
+    data = open(path, "rb").read()
+    frame = persistence._SEG
+    size = offset = len(persistence.SNAPSHOT_MAGIC_V3)
+    while offset < len(data):
+        kind, length, _crc = frame.unpack_from(data, offset)
+        payload = data[offset + frame.size:offset + frame.size + length]
+        if kind in (ord("d"), ord("t")):
+            payload = persistence._inflate(payload, path)
+        size += frame.size + len(payload)
+        offset += frame.size + length
+    return size
+
+
+class TestFullRewriteTrigger:
+    """The delta log is weighed against the snapshot's *uncompressed*
+    size, so compressing snapshots leaves the rewrite cadence alone."""
+
+    RATIO = 4.0
+
+    def _populated(self, directory):
+        store = TripleStore()
+        durability = Durability(store, directory, delta_ratio=self.RATIO)
+        for i in range(1500):
+            store.add(triple(f"scrap-{i:05d}", "slim:scrapName",
+                             f"renamed in cycle {i % 97}"))
+        durability.commit()
+        durability.compact()
+        return durability
+
+    def _assert_flips_at_uncompressed_basis(self, durability, directory):
+        snapshot = os.path.join(directory, SNAPSHOT_FILE)
+        raw = _uncompressed_size(snapshot)
+        threshold = int(self.RATIO * raw)
+        # The ratio decides, not the floor, and the compressed file would
+        # have put the threshold well below this one.
+        assert threshold > Durability._DELTA_FLOOR_BYTES
+        assert self.RATIO * os.path.getsize(snapshot) < threshold / 2
+        deltas = durability._deltas
+        deltas._size = threshold
+        assert not durability._full_rewrite_due()
+        deltas._size = threshold + 1
+        assert durability._full_rewrite_due()
+
+    def test_flips_at_uncompressed_size_after_compaction(self, tmp_path):
+        directory = str(tmp_path)
+        durability = self._populated(directory)
+        self._assert_flips_at_uncompressed_basis(durability, directory)
+        durability.close()
+
+    def test_flips_at_uncompressed_size_after_reopen(self, tmp_path):
+        directory = str(tmp_path)
+        self._populated(directory).close()
+        reopened = Durability(TripleStore(), directory,
+                              delta_ratio=self.RATIO)
+        assert reopened.recovered.snapshot_bytes == _uncompressed_size(
+            os.path.join(directory, SNAPSHOT_FILE))
+        self._assert_flips_at_uncompressed_basis(reopened, directory)
+        reopened.close()
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Count every ``os.fsync`` call (they still run)."""
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return calls
+
+
+class TestHousekeepingFsyncs:
+    """Opening and closing a directory whose log is empty touches
+    nothing on disk; commits are the only routine fsyncs."""
+
+    def test_clean_open_and_close_after_compaction(self, tmp_path, fsyncs):
+        directory = str(tmp_path)
+        trim = TrimManager(durable=directory)
+        trim.create("a", "p", 1)
+        trim.commit()
+        trim.durability.compact()
+        trim.close()
+        fsyncs.clear()
+        reopened = TrimManager(durable=directory)
+        assert reopened.durability.group == 1
+        reopened.close()
+        assert fsyncs == []
+        # The fast-forwarded group counter still numbers new commits
+        # above the snapshot's group.
+        again = TrimManager(durable=directory)
+        again.create("b", "p", 2)
+        again.commit()
+        assert again.durability.group == 2
+        again.close()
+        assert len(recover(directory).store) == 2
+
+    def test_open_of_a_log_with_groups_fsyncs_once(self, tmp_path, fsyncs):
+        # The groups may have reached only the page cache before a
+        # crash; the open makes them durable before replay serves them.
+        directory = str(tmp_path)
+        trim = TrimManager(durable=directory)
+        trim.create("a", "p", 1)
+        trim.commit()
+        trim.close()
+        fsyncs.clear()
+        reopened = TrimManager(durable=directory)
+        assert len(fsyncs) == 1
+        assert list(reopened.store) == [triple("a", "p", 1)]
+        reopened.close()
+        assert len(fsyncs) == 1
+
+    def test_open_that_cuts_a_tail_fsyncs(self, tmp_path, fsyncs):
+        directory = str(tmp_path)
+        trim = TrimManager(durable=directory)
+        trim.create("a", "p", 1)
+        trim.commit()
+        trim.create("b", "p", 2)
+        fsyncs.clear()
+        trim.close()   # writes the uncommitted record, fsyncs it
+        assert len(fsyncs) == 1
+        fsyncs.clear()
+        reopened = TrimManager(durable=directory)
+        assert len(fsyncs) == 1   # the uncommitted tail was cut
+        assert list(reopened.store) == [triple("a", "p", 1)]
+        reopened.close()
+        assert len(fsyncs) == 1
+
+    def test_creating_the_log_fsyncs(self, tmp_path, fsyncs):
+        WriteAheadLog(str(tmp_path / WAL_FILE)).close()
+        assert len(fsyncs) == 1
