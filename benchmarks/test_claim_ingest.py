@@ -7,11 +7,12 @@ Two questions the batched write path answers:
    path without durability versus ``bulk_ingest`` under durability (all
    N changes in one WAL group, one fsync).  The batched path must beat
    the naive durable path by >= 5x.
-2. **Load memory shape** — recovering a snapshot through the old
-   DOM-style loader (materialize the whole element tree, replicated
-   locally below as the reference) versus the streaming pull-parser
-   loader.  The streaming loader's transient memory overhead must stay
-   flat as the snapshot grows; the DOM loader's grows with it.
+2. **Load memory shape** — loading an XML pad file (the
+   ``save``/``load`` interchange) through the old DOM-style loader
+   (materialize the whole element tree, replicated locally below as the
+   reference) versus the streaming pull-parser loader.  The streaming
+   loader's transient memory overhead must stay flat as the document
+   grows; the DOM loader's grows with it.
 
 Results print via ``print_table`` (run with ``-s``) and aggregate into
 ``BENCH_trim_ingest.json`` at the repo root.  ``BENCH_SMOKE=1`` shrinks
@@ -58,12 +59,11 @@ def _workload(n):
     return random_triples(n, num_subjects=max(n // 10, 1), num_properties=8)
 
 
-def _dom_load_snapshot(path):
-    """The pre-streaming reference loader: parse the payload into a full
-    element tree, then walk it.  Replicated here so the bench can keep
-    measuring what the streaming loader replaced."""
+def _dom_load(path):
+    """The pre-streaming reference loader: parse the document into a
+    full element tree, then walk it.  Replicated here so the bench can
+    keep measuring what the streaming loader replaced."""
     with open(path, "rb") as handle:
-        handle.readline()   # header (skip verification; favours DOM)
         payload = handle.read()
     root = ET.fromstring(payload.decode("utf-8"))
     store = TripleStore()
@@ -73,8 +73,7 @@ def _dom_load_snapshot(path):
             if element.tag == "namespace":
                 registry.register(element.get("prefix"), element.get("uri"))
             else:
-                statement = persistence._parse_triple(element, True)
-                store.restore(statement, int(element.get("seq")))
+                store.add(persistence._parse_triple(element, True))
     return store
 
 
@@ -159,43 +158,41 @@ def test_durable_ingest_throughput(benchmark, tmp_path):
 
 
 def test_streaming_load_memory(benchmark, tmp_path):
-    """Snapshot load: DOM scratch memory grows with N, streaming stays flat.
+    """XML load: DOM scratch memory grows with N, streaming stays flat.
 
-    This claim is about the *XML* snapshot form (the streaming pull
-    parser vs the DOM loader it replaced), so the snapshots are written
-    with ``format=2`` explicitly — the binary v3 default has no XML
-    payload to DOM-parse.  The v3 loader's own cold-start numbers live
-    in ``benchmarks/test_trim_recovery.py``.
+    This claim is about the XML interchange (``persistence.save``/
+    ``load``: the streaming pull parser vs the DOM loader it replaced).
+    Recovery reads binary v3 snapshots instead; their cold-start
+    numbers live in ``benchmarks/test_trim_recovery.py``.
     """
-    # Warm both loaders on a tiny snapshot first, so one-time allocations
+    # Warm both loaders on a tiny document first, so one-time allocations
     # (parser machinery, code objects) don't pollute the measurements.
     warmup_store = TripleStore()
     for t in _workload(20):
         warmup_store.add(t)
-    warmup_path = str(tmp_path / "warmup.slim")
-    persistence.save_snapshot(warmup_store, warmup_path, format=2)
-    _dom_load_snapshot(warmup_path)
-    persistence.load_snapshot(warmup_path)
+    warmup_path = str(tmp_path / "warmup.xml")
+    persistence.save(warmup_store, warmup_path)
+    _dom_load(warmup_path)
+    persistence.load(warmup_path)
 
     measurements = {}
     for label, n in (("small", MEM_SMALL), ("big", MEM_BIG)):
         source = TripleStore()
         for t in _workload(n):
             source.add(t)
-        path = str(tmp_path / f"{label}.slim")
-        persistence.save_snapshot(source, path, format=2)
+        path = str(tmp_path / f"{label}.xml")
+        persistence.save(source, path)
         dom_overhead, dom_store = _transient_overhead(
-            lambda: _dom_load_snapshot(path))
-        stream_overhead, snapshot = _transient_overhead(
-            lambda: persistence.load_snapshot(path))
-        assert list(snapshot.document.store) == list(dom_store) \
-            == list(source)
-        dom_s, _ = _timed(lambda: _dom_load_snapshot(path))
+            lambda: _dom_load(path))
+        stream_overhead, loaded = _transient_overhead(
+            lambda: persistence.load(path))
+        assert list(loaded) == list(dom_store) == list(source)
+        dom_s, _ = _timed(lambda: _dom_load(path))
         if label == "big":   # the benchmark fixture runs exactly once
             stream_s, _ = run_once(benchmark, lambda: _timed(
-                lambda: persistence.load_snapshot(path)))
+                lambda: persistence.load(path)))
         else:
-            stream_s, _ = _timed(lambda: persistence.load_snapshot(path))
+            stream_s, _ = _timed(lambda: persistence.load(path))
         measurements[label] = {
             "triples": len(source),
             "payload_bytes": os.path.getsize(path),
@@ -231,7 +228,7 @@ def test_streaming_load_memory(benchmark, tmp_path):
         "dom_overhead_growth_x": round(dom_growth, 2),
     }
     print_table(
-        f"Snapshot load scratch memory ({MEM_SMALL} -> {MEM_BIG} triples)",
+        f"XML load scratch memory ({MEM_SMALL} -> {MEM_BIG} triples)",
         ["loader", "peak overhead (small)", "peak overhead (big)", "growth"],
         [("DOM (reference)", small["dom_peak_overhead_bytes"],
           big["dom_peak_overhead_bytes"], f"{dom_growth:.1f}x"),

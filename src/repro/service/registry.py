@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import (BackpressureError, ProtocolError,
                           ServiceUnavailableError)
 from repro.triples.trim import TrimManager
+from repro.util.heap import collector_paused
 from repro.util.stats import percentiles_us
 
 __all__ = ["PadRegistry", "TenantHandle", "valid_tenant_name"]
@@ -137,13 +138,11 @@ class TenantHandle:
     """
 
     def __init__(self, name: str, directory: str,
-                 high_water: int = 64, max_batch: int = 256,
-                 compact_every: int = 64) -> None:
+                 high_water: int = 64, max_batch: int = 256) -> None:
         self.name = name
         self.directory = directory
         opened = time.perf_counter()
-        self.trim = TrimManager(durable=directory, concurrent=True,
-                                compact_every=compact_every)
+        self.trim = TrimManager(durable=directory, concurrent=True)
         #: Cold-open cost: wall-clock seconds recovery took for this
         #: tenant (snapshot + delta + WAL fold).
         self.open_seconds = time.perf_counter() - opened
@@ -342,10 +341,11 @@ class PadRegistry:
     to the cyclic collector they set off a full collection every few
     opens, each walking every live tenant, and young collections during
     the open itself, each walking the objects the open just built.  So
-    the collector is paused for the duration of every cold open (a
-    count of concurrent opens decides when to resume it, and it resumes
-    only if it was enabled when the first of them began, also when an
-    open fails), and after each cold open the registry calls
+    the collector is paused for the duration of every cold open
+    (:func:`repro.util.heap.collector_paused`, counted process-wide: it
+    resumes when the last overlapping open in the process ends, only if
+    it was enabled when the first began, also when an open fails), and
+    after each cold open the registry calls
     ``gc.freeze()`` (O(1)), which moves *every* object
     then alive in the process, not just this registry's, into the
     permanent generation that collections skip.  Evicted tenants hold
@@ -361,15 +361,13 @@ class PadRegistry:
     _OPEN_LATENCY_WINDOW = 512
 
     def __init__(self, root: str, high_water: int = 64,
-                 max_batch: int = 256, idle_ttl: float = 300.0,
-                 compact_every: int = 64) -> None:
+                 max_batch: int = 256, idle_ttl: float = 300.0) -> None:
         if high_water < 1:
             raise ValueError("high_water must be >= 1")
         self.root = root
         self.high_water = high_water
         self.max_batch = max_batch
         self.idle_ttl = idle_ttl
-        self.compact_every = compact_every
         os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
         self._tenants: Dict[str, TenantHandle] = {}
@@ -385,10 +383,6 @@ class PadRegistry:
         # and the last reconcile's (seconds, objects collected, objects
         # frozen).
         self._reconciled_opens = 0
-        # Cold opens in flight, and whether the collector was enabled
-        # when the first of them paused it.
-        self._paused_opens = 0
-        self._collector_was_enabled = False
         self._reconciles = 0
         self._last_reconcile: Tuple[Optional[float], Optional[int],
                                     Optional[int]] = (None, None, None)
@@ -426,12 +420,10 @@ class PadRegistry:
             # open outside the registry lock — recovery can be slow —
             # but inside the name lock, so a concurrent acquire of the
             # same name waits instead of double-opening the WAL.
-            self._pause_collector()
-            try:
+            with collector_paused():
                 handle = TenantHandle(
                     name, os.path.join(self.root, name),
-                    high_water=self.high_water, max_batch=self.max_batch,
-                    compact_every=self.compact_every)
+                    high_water=self.high_water, max_batch=self.max_batch)
                 with self._lock:
                     if self._closed:
                         # Lost the race with close_all(): roll back.
@@ -447,26 +439,7 @@ class PadRegistry:
                 # it, with everything else alive, out of the collector's
                 # sight before the collector runs again.
                 gc.freeze()
-                return handle
-            finally:
-                self._resume_collector()
-
-    def _pause_collector(self) -> None:
-        """Disable the cyclic collector for one cold open (see the class
-        docstring); pairs with :meth:`_resume_collector`."""
-        with self._lock:
-            if self._paused_opens == 0:
-                self._collector_was_enabled = gc.isenabled()
-                gc.disable()
-            self._paused_opens += 1
-
-    def _resume_collector(self) -> None:
-        """End one cold open's pause; the last open out re-enables the
-        collector if it was enabled before the first one paused it."""
-        with self._lock:
-            self._paused_opens -= 1
-            if self._paused_opens == 0 and self._collector_was_enabled:
-                gc.enable()
+            return handle
 
     def release(self, handle: TenantHandle) -> None:
         """Drop one reference taken by :meth:`acquire`."""

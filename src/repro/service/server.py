@@ -395,11 +395,9 @@ class TrimService:
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
                  high_water: int = 64,
                  max_batch: int = 256, idle_ttl: float = 300.0,
-                 reap_interval: Optional[float] = None,
-                 compact_every: int = 64) -> None:
+                 reap_interval: Optional[float] = None) -> None:
         self.registry = PadRegistry(root, high_water=high_water,
-                                    max_batch=max_batch, idle_ttl=idle_ttl,
-                                    compact_every=compact_every)
+                                    max_batch=max_batch, idle_ttl=idle_ttl)
         self.host = host
         self.port = port
         self.reap_interval = (reap_interval if reap_interval is not None

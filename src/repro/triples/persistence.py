@@ -1,4 +1,4 @@
-"""XML persistence for triple stores.
+"""XML persistence for triple stores, and the binary recovery snapshot.
 
 Section 4.4: TRIM can *"persist (through XML files)"* the triple
 representation.  The format is a flat statement list — close in spirit to
@@ -32,42 +32,32 @@ unescaped on load.  Version-1 files (no escaping) still load unchanged.
 
 :func:`save` is crash-safe: the document is written to a temporary file,
 fsynced, and atomically renamed over the target, so a crash mid-save
-leaves either the old file or the new one — never a torn mix.
-:func:`save_snapshot` / :func:`load_snapshot` add a checksummed header on
-top of that for the durability subsystem (:mod:`repro.triples.wal`).
-
-Snapshot **format v3** drops XML entirely for the recovery hot path: a
-binary columnar layout of length-prefixed CRC-checked segments — one
-header segment (WAL group, triple count, namespace declarations), a
-string *dictionary* of nodes (each URI/literal stored once),
-then fixed-width triple rows of ``(subject-id, property-id, value-id,
-sequence)`` integers.  Cold opens stop paying Python text parsing per
-triple: the loader verifies each segment's checksum, decodes the
-dictionary once, and hands the dictionary and integer rows to
-:meth:`~repro.triples.store.TripleStore.restore_rows`, which builds the
-membership map and all five indexes in one pass.  :func:`load_snapshot`
-auto-detects the format from the leading bytes, so v1/v2 XML snapshots
-keep loading unchanged; :func:`save_snapshot` defaults to v3 and keeps
-``format=2`` as an escape hatch.
-
-The v3 writer stores every dictionary and row chunk zlib-compressed
-(level 1) under its own segment kind, prefixed with the chunk's
-uncompressed length; a typical pad's snapshot shrinks ~3.3x, which is
-what a tenant eviction writes.  The reader inflates each chunk to
-exactly that length and decodes the raw bytes as before, so files with
-uncompressed chunks still load.  :func:`save_snapshot` returns, and
-:func:`load_snapshot` reports, the snapshot's *uncompressed* size —
-the durability layer's full-rewrite trigger is defined on it.
-
-Loading is *streaming*: the readers feed the file through a pull parser
-(:class:`xml.etree.ElementTree.XMLPullParser`) and clear each completed
+leaves either the old file or the new one — never a torn mix.  Loading
+is *streaming*: :func:`load` feeds the file through a pull parser
+(:class:`xml.etree.ElementTree.XMLPullParser`) and clears each completed
 ``<triple>`` element immediately, so parse memory stays O(1) in document
-size instead of materializing a full DOM — recovery of a multi-million
-triple snapshot needs chunk-sized buffers, not snapshot-sized ones.
-Triples are ingested through the store's bulk path
-(:meth:`~repro.triples.store.TripleStore.bulk`), which also makes every
-loader transactional: a parse or checksum error rolls the target store
-back instead of leaving it half-populated.
+size.  Triples are ingested through the store's bulk path
+(:meth:`~repro.triples.store.TripleStore.bulk`), which makes every
+loader transactional: a parse error rolls the target store back instead
+of leaving it half-populated.
+
+The durability subsystem (:mod:`repro.triples.wal`) does not use XML.
+:func:`save_snapshot` / :func:`load_snapshot` write and read the one
+recovery snapshot format, **v3**: a binary columnar layout of
+length-prefixed CRC-checked segments — one header segment (WAL group,
+triple count, namespace declarations), a string *dictionary* of nodes
+(each URI/literal stored once), then fixed-width triple rows of
+``(subject-id, property-id, value-id, sequence)`` integers, every
+dictionary and row chunk zlib-compressed (level 1).  The loader verifies
+each segment's checksum, inflates and decodes the dictionary once, and
+hands the dictionary and integer rows to
+:meth:`~repro.triples.store.TripleStore.restore_rows`, which builds the
+membership map and all five indexes in one pass.  :func:`save_snapshot`
+returns, and :func:`load_snapshot` reports, the snapshot's
+*uncompressed* size — the durability layer's full-rewrite trigger is
+defined on it.  A snapshot an earlier release wrote (the XML text form,
+or v3 with uncompressed chunks) is refused with a
+:class:`~repro.errors.PersistenceError` that says how to migrate it.
 """
 
 from __future__ import annotations
@@ -89,12 +79,7 @@ from repro.triples.triple import Literal, LiteralValue, Node, Resource, Triple
 
 FORMAT_VERSION = "2"
 
-#: First line of a text (v1/v2) snapshot file (see :func:`save_snapshot`).
-SNAPSHOT_MAGIC = "#slim-snapshot"
-
-#: Leading bytes of a binary columnar (v3) snapshot.  Eight bytes so one
-#: fixed-size probe read distinguishes it from the text header, whose
-#: first eight bytes are ``#slim-sn``.
+#: Leading bytes of a (v3) snapshot, the only format recovery reads.
 SNAPSHOT_MAGIC_V3 = b"SLIMSNP3"
 
 # v3 wire structs.  Segment framing is (kind, payload-length, CRC-32 of
@@ -106,13 +91,14 @@ _VU32 = struct.Struct(">I")
 _VU64 = struct.Struct(">Q")
 
 _SEG_HEADER = ord("H")
-_SEG_DICT = ord("D")
-_SEG_ROWS = ord("T")
 _SEG_END = ord("E")
-# Compressed dictionary / row segments: u32 uncompressed length, then
-# the zlib stream of the raw D / T payload.
+# Dictionary / row segments: u32 uncompressed length, then the zlib
+# stream of the raw dictionary / row chunk.
 _SEG_DICT_Z = ord("d")
 _SEG_ROWS_Z = ord("t")
+#: Uncompressed dictionary / row segments, which only releases before
+#: compression wrote.
+_SEG_RAW = (ord("D"), ord("T"))
 #: zlib level for d/t segments.  On a 71k-triple pad, level 1 stores
 #: the snapshot in 30% of its raw size; the default level 6 saves
 #: another 14% but takes ~5.6x as long, on the eviction path.
@@ -165,24 +151,15 @@ class Document(NamedTuple):
 
 
 def dumps(store: TripleStore,
-          namespaces: Optional[NamespaceRegistry] = None, *,
-          with_sequences: bool = False) -> str:
-    """Serialize *store* to an XML string (UTF-8 text, one doc).
-
-    With ``with_sequences=True`` each ``<triple>`` carries a ``seq``
-    attribute recording its insertion-sequence number, so a reload
-    reproduces the exact ordering state — the durability snapshots need
-    this to mesh with sequence numbers replayed from the write-ahead log.
-    """
+          namespaces: Optional[NamespaceRegistry] = None) -> str:
+    """Serialize *store* to an XML string (UTF-8 text, one doc)."""
     root = ET.Element("slim-store", {"version": FORMAT_VERSION})
     if namespaces is not None:
         for namespace in namespaces:
             ET.SubElement(root, "namespace",
                           {"prefix": namespace.prefix, "uri": namespace.uri})
     for triple in store:
-        attrs = ({"seq": str(store.sequence_of(triple))}
-                 if with_sequences else {})
-        element = ET.SubElement(root, "triple", attrs)
+        element = ET.SubElement(root, "triple")
         ET.SubElement(element, "subject").text = _escape_text(triple.subject.uri)
         ET.SubElement(element, "property").text = \
             _escape_text(triple.property.uri)
@@ -273,36 +250,17 @@ def load_document(path: str,
 
 def save_snapshot(store: TripleStore, path: str,
                   namespaces: Optional[NamespaceRegistry] = None,
-                  group: int = 0, *, format: int = 3) -> int:
-    """Atomically write a checksummed snapshot of *store* to *path*.
-
-    The default (``format=3``) is the binary columnar layout described
-    in :func:`_encode_snapshot_v3`.  ``format=2`` writes the legacy text
-    form: the :func:`dumps` XML (with sequence numbers) prefixed by a
-    one-line header recording the format version, the WAL group the
-    snapshot covers, the payload length, and a CRC-32 of the payload::
-
-        #slim-snapshot v2 group=17 bytes=4093 crc32=9f3c21aa
-
-    :func:`load_snapshot` verifies all of it (and auto-detects which
-    format it is reading), so a recovery never trusts a corrupt
-    snapshot silently.
+                  group: int = 0) -> int:
+    """Atomically write a checksummed v3 snapshot of *store* to *path*
+    (the layout is described in :func:`_encode_snapshot_v3`), recording
+    the WAL group it covers.
 
     Returns the snapshot's *uncompressed* size in bytes: what the file
-    would take with every compressed segment stored raw (the file size
-    for ``format=2``).
+    would take with every compressed segment stored raw.
     """
-    if format == 3:
-        data, raw_size = _encode_snapshot_v3(store, namespaces, group)
-        _atomic_write(path, data)
-        return raw_size
-    if format != 2:
-        raise PersistenceError(f"unsupported snapshot format: {format!r}")
-    payload = dumps(store, namespaces, with_sequences=True).encode("utf-8")
-    header = (f"{SNAPSHOT_MAGIC} v{FORMAT_VERSION} group={group} "
-              f"bytes={len(payload)} crc32={zlib.crc32(payload):08x}\n")
-    _atomic_write(path, header.encode("ascii") + payload)
-    return len(header) + len(payload)
+    data, raw_size = _encode_snapshot_v3(store, namespaces, group)
+    _atomic_write(path, data)
+    return raw_size
 
 
 def _encode_snapshot_v3(store: TripleStore,
@@ -318,16 +276,15 @@ def _encode_snapshot_v3(store: TripleStore,
     integers), and a zero-length ``E`` end marker.  Every string field is
     length-prefixed and encoded with ``surrogatepass``, so the format is
     loss-free for exactly the node texts the store accepts — no escaping
-    layer, unlike the XML forms.
+    layer, unlike the XML interchange.
 
     Each ``d``/``t`` payload is the raw dictionary or row chunk
     compressed with zlib at level 1, prefixed with its uncompressed
-    length; the CRC covers the stored (compressed) bytes.  Readers still
-    accept the uncompressed ``D``/``T`` kinds earlier writers produced.
-    The uncompressed size is the length the same snapshot would have
-    with every ``d``/``t`` segment stored raw as ``D``/``T`` — the basis
-    the durability layer's full-rewrite trigger compares the delta log
-    against, so compression does not change when a rewrite fires.
+    length; the CRC covers the stored (compressed) bytes.  The
+    uncompressed size is the length the same snapshot would have with
+    every ``d``/``t`` payload stored raw — the basis the durability
+    layer's full-rewrite trigger compares the delta log against, so
+    compression does not change when a rewrite fires.
     """
     # Resources intern by uri, a str whose hash is cached.  Literals
     # keep their (tag, text) key, so 0.0 and -0.0 stay distinct entries.
@@ -417,7 +374,7 @@ def _inflate(payload: bytes, path: str) -> bytes:
         raise PersistenceError(f"{path}: truncated compressed segment")
     (length,) = _VU32.unpack_from(payload, 0)
     if length < _VU32.size:
-        # Every raw D/T payload opens with a u32 count; this also keeps
+        # Every raw chunk opens with a u32 count; this also keeps
         # max_length non-zero (zero would mean "unbounded" to zlib).
         raise PersistenceError(f"{path}: bad compressed segment length")
     inflater = zlib.decompressobj()
@@ -455,8 +412,7 @@ class Snapshot(NamedTuple):
 
     document: Document
     group: int
-    #: Uncompressed size in bytes, as :func:`save_snapshot` returns it
-    #: (the file size for XML and uncompressed v3 files).
+    #: Uncompressed size in bytes, as :func:`save_snapshot` returns it.
     raw_bytes: int = 0
 
 
@@ -465,102 +421,64 @@ def load_snapshot(path: str,
                   store: Optional[TripleStore] = None) -> Snapshot:
     """Read and verify a snapshot written by :func:`save_snapshot`.
 
-    Raises :class:`PersistenceError` on a missing/garbled header, a
-    length mismatch, or a checksum mismatch.  The result reports the
-    snapshot's uncompressed size (``raw_bytes``).
-
-    The payload is streamed: chunks are checksummed and fed to the pull
-    parser as they are read, so verifying and loading a snapshot never
-    materializes it in memory.  Length and CRC are checked at end of
-    stream, *inside* the target store's bulk load — a mismatch aborts
-    the bulk and rolls the store back, so a corrupt-but-well-formed
-    payload can never leave triples behind.  *store* behaves as in
-    :func:`loads_document`.
-    """
-    registry = namespaces if namespaces is not None else NamespaceRegistry()
-    target = _load_target(store)
-    with _open_read(path) as handle:
-        probe = handle.read(len(SNAPSHOT_MAGIC_V3))
-        if probe == SNAPSHOT_MAGIC_V3:
-            return _load_snapshot_v3(handle, path, registry, target)
-        handle.seek(0)
-        header_bytes = handle.readline(_MAX_HEADER)
-        if not header_bytes.endswith(b"\n"):
-            raise PersistenceError(f"{path}: not a slim-snapshot (no header)")
-        header = header_bytes[:-1].decode("ascii", "replace")
-        fields = header.split()
-        if len(fields) != 5 or fields[0] != SNAPSHOT_MAGIC:
-            raise PersistenceError(
-                f"{path}: not a slim-snapshot header: {header!r}")
-        try:
-            group = int(fields[2].removeprefix("group="))
-            length = int(fields[3].removeprefix("bytes="))
-            crc = int(fields[4].removeprefix("crc32="), 16)
-        except ValueError as exc:
-            raise PersistenceError(
-                f"{path}: garbled snapshot header: {header!r}") from exc
-        with target.bulk():
-            version = _parse_stream(
-                _verified_chunks(handle, path, length, crc),
-                registry, target)
-    return Snapshot(Document(target, registry, version), group,
-                    len(header_bytes) + length)
-
-
-def _load_snapshot_v3(handle: IO[bytes], path: str,
-                      registry: NamespaceRegistry,
-                      target: TripleStore) -> Snapshot:
-    """Load a binary columnar snapshot (magic already consumed).
-
     Segments are verified as they are read (framing, CRC-32, internal
-    lengths); compressed ``d``/``t`` segments are inflated to exactly
-    their recorded length and then decoded as the raw ``D``/``T`` kinds
-    they wrap, so files from before compression load unchanged.  The
-    header's triple count must match the rows decoded, an
-    ``E`` end marker must close the file, and every row id must resolve
-    to a dictionary node of the right kind.  Any violation raises
-    :class:`PersistenceError` — snapshots are written atomically, so a
-    damaged one is refused outright rather than loaded partially.
+    lengths), and each ``d``/``t`` segment is inflated to exactly its
+    recorded length.  The header's triple count must match the rows
+    decoded, an ``E`` end marker must close the file, and every row id
+    must resolve to a dictionary node of the right kind.  Any violation
+    raises :class:`PersistenceError` — snapshots are written atomically,
+    so a damaged one is refused outright rather than loaded partially.
+    So is a file without the v3 magic or with uncompressed ``D``/``T``
+    segments: an earlier release wrote it, and the error says how to
+    migrate it.  The result reports the snapshot's uncompressed size
+    (``raw_bytes``).
 
     After full validation the dictionary nodes and integer rows are
     handed to :meth:`~repro.triples.store.TripleStore.restore_rows`
     wholesale.  It is all-or-nothing and needs an empty target with no
     change listeners — recovery loads the snapshot before anything
-    subscribes.
+    subscribes.  *store* behaves as in :func:`loads_document`.
     """
-    kind, payload = _read_segment(handle, path)
-    if kind != _SEG_HEADER:
-        raise PersistenceError(
-            f"{path}: v3 snapshot must start with a header segment")
-    group, triple_count, declarations = _decode_v3_header(payload, path)
-    for prefix, uri in declarations:
-        registry.register(prefix, uri)
-
-    nodes: List[Node] = []
-    row_chunks: List[bytes] = []
-    raw_bytes = len(SNAPSHOT_MAGIC_V3) + _SEG.size + len(payload)
-    while True:
+    registry = namespaces if namespaces is not None else NamespaceRegistry()
+    target = _load_target(store)
+    with _open_read(path) as handle:
+        if handle.read(len(SNAPSHOT_MAGIC_V3)) != SNAPSHOT_MAGIC_V3:
+            raise _earlier_release(path)
         kind, payload = _read_segment(handle, path)
-        if kind == _SEG_DICT_Z or kind == _SEG_ROWS_Z:
-            payload = _inflate(payload, path)
-            kind = _SEG_DICT if kind == _SEG_DICT_Z else _SEG_ROWS
-        raw_bytes += _SEG.size + len(payload)
-        if kind == _SEG_END:
-            if payload:
-                raise PersistenceError(f"{path}: non-empty end segment")
-            break
-        if kind == _SEG_DICT:
-            if row_chunks:
-                raise PersistenceError(
-                    f"{path}: dictionary segment after triple rows")
-            _decode_dictionary(payload, path, nodes)
-        elif kind == _SEG_ROWS:
-            row_chunks.append(_checked_rows(payload, path))
-        else:
+        if kind != _SEG_HEADER:
             raise PersistenceError(
-                f"{path}: unknown snapshot segment kind {kind:#x}")
-    if handle.read(1):
-        raise PersistenceError(f"{path}: trailing bytes after end segment")
+                f"{path}: v3 snapshot must start with a header segment")
+        group, triple_count, declarations = _decode_v3_header(payload, path)
+        for prefix, uri in declarations:
+            registry.register(prefix, uri)
+
+        nodes: List[Node] = []
+        row_chunks: List[bytes] = []
+        raw_bytes = len(SNAPSHOT_MAGIC_V3) + _SEG.size + len(payload)
+        while True:
+            kind, payload = _read_segment(handle, path)
+            if kind == _SEG_END:
+                if payload:
+                    raise PersistenceError(f"{path}: non-empty end segment")
+                raw_bytes += _SEG.size
+                break
+            if kind in _SEG_RAW:
+                raise _earlier_release(path)
+            if kind != _SEG_DICT_Z and kind != _SEG_ROWS_Z:
+                raise PersistenceError(
+                    f"{path}: unknown snapshot segment kind {kind:#x}")
+            payload = _inflate(payload, path)
+            raw_bytes += _SEG.size + len(payload)
+            if kind == _SEG_DICT_Z:
+                if row_chunks:
+                    raise PersistenceError(
+                        f"{path}: dictionary segment after triple rows")
+                _decode_dictionary(payload, path, nodes)
+            else:
+                row_chunks.append(_checked_rows(payload, path))
+        if handle.read(1):
+            raise PersistenceError(
+                f"{path}: trailing bytes after end segment")
     rows_seen = sum(len(chunk) // _ROW.size for chunk in row_chunks)
     if rows_seen != triple_count:
         raise PersistenceError(
@@ -581,6 +499,19 @@ def _load_snapshot_v3(handle: IO[bytes], path: str,
     except (IndexError, ValueError) as exc:
         raise PersistenceError(f"{path}: bad snapshot row: {exc}") from exc
     return Snapshot(Document(target, registry, 3), group, raw_bytes)
+
+
+def _earlier_release(path: str) -> PersistenceError:
+    """The refusal of a snapshot this release cannot read: one written
+    before v3 compression (XML text or raw ``D``/``T`` segments)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    return PersistenceError(
+        f"{path}: not a compressed v3 snapshot, so an earlier release "
+        f"wrote it (or it is damaged); this release reads no other "
+        f"snapshot format. To migrate, open {directory} once with the "
+        f"previous release and compact it "
+        f"(TrimManager(durable=...).durability.compact(), then close()), "
+        f"then open it with this release")
 
 
 def _read_segment(handle: IO[bytes], path: str) -> Tuple[int, bytes]:
@@ -672,28 +603,10 @@ def _checked_rows(payload: bytes, path: str) -> bytes:
     return rows
 
 
-def _verified_chunks(handle: IO[bytes], path: str, length: int,
-                     crc: int) -> Iterator[bytes]:
-    """Yield payload chunks, verifying byte count and CRC-32 at EOF."""
-    seen = 0
-    running = 0
-    for chunk in _file_chunks(handle, path):
-        seen += len(chunk)
-        running = zlib.crc32(chunk, running)
-        yield chunk
-    if seen != length:
-        raise PersistenceError(
-            f"{path}: snapshot payload truncated ({seen} of {length} bytes)")
-    if running != crc:
-        raise PersistenceError(f"{path}: snapshot checksum mismatch")
-
-
 # -- internals ---------------------------------------------------------------
 
 #: Streaming read granularity; also bounds parse memory for the loaders.
 _CHUNK = 64 * 1024
-#: Upper bound on a plausible snapshot header line.
-_MAX_HEADER = 256
 
 
 def _load_target(store: Optional[TripleStore]) -> TripleStore:
@@ -727,7 +640,7 @@ def _parse_stream(chunks: Iterable[Union[str, bytes]],
     """Pull-parse a slim-store document into *store*; returns its version.
 
     Each completed direct child of the root is handled (namespace
-    registered, triple added/restored) and then cleared from the
+    registered, triple added) and then cleared from the
     in-progress tree, so memory stays bounded by one element plus one
     chunk no matter how large the document is.
     """
@@ -766,16 +679,7 @@ def _parse_stream(chunks: Iterable[Union[str, bytes]],
                         "namespace element missing prefix/uri")
                 registry.register(prefix, uri)
             elif element.tag == "triple":
-                statement = _parse_triple(element, escaped)
-                seq = element.get("seq")
-                if seq is None:
-                    store.add(statement)
-                else:
-                    try:
-                        store.restore(statement, int(seq))
-                    except ValueError as exc:
-                        raise PersistenceError(
-                            f"bad seq attribute: {seq!r}") from exc
+                store.add(_parse_triple(element, escaped))
             else:
                 raise PersistenceError(
                     f"unexpected element <{element.tag}>")

@@ -108,8 +108,7 @@ class TrimManager:
                  compact_every: int = 64,
                  concurrent: bool = False,
                  cache: bool = True,
-                 cache_entries: int = 1024,
-                 delta_ratio: float = 0.5) -> None:
+                 cache_entries: int = 1024) -> None:
         self.store = TripleStore(concurrent=concurrent)
         self.namespaces = namespaces or NamespaceRegistry.with_defaults()
         self.ids = IdGenerator()
@@ -122,8 +121,7 @@ class TrimManager:
         self._views_lock = threading.Lock()
         if durable is not None:
             # Attaches the cache once recovery is done.
-            self.enable_durability(durable, compact_every=compact_every,
-                                   delta_ratio=delta_ratio)
+            self.enable_durability(durable, compact_every=compact_every)
         elif self._cache is not None:
             self._cache.attach()
 
@@ -366,8 +364,7 @@ class TrimManager:
     # -- durability (WAL + snapshots) ------------------------------------------
 
     def enable_durability(self, directory: str, compact_every: int = 64,
-                          fsync: bool = True,
-                          delta_ratio: float = 0.5) -> Durability:
+                          fsync: bool = True) -> Durability:
         """Attach crash-safe persistence rooted at *directory*.
 
         Recovers any existing snapshot + WAL state into the store (which
@@ -388,8 +385,7 @@ class TrimManager:
             self._durability = Durability(self.store, directory,
                                           namespaces=self.namespaces,
                                           compact_every=compact_every,
-                                          fsync=fsync,
-                                          delta_ratio=delta_ratio)
+                                          fsync=fsync)
         finally:
             if cache is not None:
                 cache.attach()

@@ -49,9 +49,9 @@ anything at or below the group each layer already covers; the same
 monotone-group argument that makes snapshot compaction crash-safe at
 every intermediate step applies unchanged (append is fsynced before the
 WAL truncate, so a crash in between merely leaves covered groups in the
-WAL that replay skips).  A size-ratio trigger (``delta_ratio``) promotes
-to a full rewrite once the delta log outgrows the snapshot, bounding
-recovery reads.
+WAL that replay skips).  A size-ratio trigger promotes to a full
+rewrite once the delta log outgrows half the snapshot, bounding recovery
+reads.
 
 Concurrency (DESIGN.md §10): the log's buffer/offset state is guarded by
 an internal lock, so concurrent appenders and committers serialize
@@ -78,6 +78,7 @@ from repro.triples.namespaces import NamespaceRegistry
 from repro.triples.store import TripleStore
 from repro.triples.transactions import Change
 from repro.triples.triple import Literal, Resource, Triple
+from repro.util.heap import collector_paused
 
 MAGIC = b"SLIMWAL1"
 DELTA_MAGIC = b"SLIMDLT1"
@@ -363,8 +364,9 @@ def _frame(payload: bytes) -> bytes:
 class WriteAheadLog:
     """Append-only checksummed change log with group boundaries.
 
-    Opens (or creates) the file at *path*, truncating it back to the end
-    of its last commit record.  That discards both the corrupt tail a
+    Opens (or creates) the file at *path* from *scan*, a
+    :func:`scan_wal` of it (recovery's, on a durable open), truncating it
+    back to the end of its last commit record.  That discards both the corrupt tail a
     crash may have torn *and* any valid-but-uncommitted change records a
     crashed session left behind — recovery ignores those, so keeping
     them would let the next commit's boundary record fence a dead
@@ -389,12 +391,11 @@ class WriteAheadLog:
     buffer clear.
     """
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+    def __init__(self, path: str, scan: WalScan, fsync: bool = True) -> None:
         self.path = path
         self._fsync = fsync
         self._lock = threading.RLock()
         self._sync_count = 0
-        scan = scan_wal(path)
         self._group = scan.last_group
         self._dirty = 0
         self._buffer: List[bytes] = []
@@ -609,15 +610,16 @@ class _DeltaLog:
     O(changes-since-last-compact): :meth:`append` writes one CRC-framed
     :func:`encode_delta_segment` record and fsyncs it; :meth:`reset`
     truncates back to the magic header after a full snapshot rewrite.
-    Opening scans the file and truncates a torn tail away, mirroring
+    Opening takes a :func:`scan_deltas` of the file (recovery's, when
+    there was one) and truncates a torn tail away, mirroring
     :class:`WriteAheadLog`.  Callers (``Durability``) serialize access
     under their meta lock, so no internal lock is needed.
     """
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+    def __init__(self, path: str, scan: DeltaScan,
+                 fsync: bool = True) -> None:
         self.path = path
         self._fsync = fsync
-        scan = scan_deltas(path)
         self.covered_group = scan.covered_group
         self.segment_count = len(scan.segments)
         self._file: Optional[IO[bytes]] = None
@@ -787,8 +789,23 @@ def recover(directory: str,
     declarations are registered into *namespaces* when given, else into a
     fresh registry; either way the populated registry is returned in the
     result, so nothing recovered is dropped.  A directory in the retired
-    sharded layout raises :class:`PersistenceError`.
+    sharded layout, or a snapshot an earlier release wrote, raises
+    :class:`PersistenceError` and leaves every file as it was.
+
+    Runs with the cyclic collector paused
+    (:func:`repro.util.heap.collector_paused`): the load allocates the
+    whole store, and collections during it would only walk what it
+    just built.
     """
+    return _recover(directory, store, namespaces)[0]
+
+
+@collector_paused()
+def _recover(directory: str, store: Optional[TripleStore],
+             namespaces: Optional[NamespaceRegistry]
+             ) -> Tuple[RecoveryResult, WalScan, DeltaScan]:
+    """:func:`recover`, plus the log scans it took, for the log handles
+    a durable open creates next."""
     _refuse_sharded_layout(directory)
     store = store if store is not None else TripleStore()
     if len(store):
@@ -800,8 +817,8 @@ def recover(directory: str,
     snapshot_bytes = 0
     t_start = time.perf_counter()
     if os.path.exists(snapshot_path):
-        # Streamed straight into the target store (constant parse memory)
-        # rather than through an intermediate store plus a restore loop.
+        # Loaded straight into the target store rather than through an
+        # intermediate store plus a restore loop.
         snapshot = persistence.load_snapshot(snapshot_path, registry,
                                              store=store)
         snapshot_group = snapshot.group
@@ -851,11 +868,12 @@ def recover(directory: str,
     stage_seconds = {"snapshot_s": t_snapshot - t_start,
                      "deltas_s": t_deltas - t_snapshot,
                      "wal_s": t_end - t_deltas}
-    return RecoveryResult(store, snapshot_group, snapshot_triples,
-                          groups_replayed, changes_replayed, last_group,
-                          scan.total_bytes - scan.valid_end, registry,
-                          delta_segments, delta_changes, covered,
-                          stage_seconds, snapshot_bytes)
+    result = RecoveryResult(store, snapshot_group, snapshot_triples,
+                            groups_replayed, changes_replayed, last_group,
+                            scan.total_bytes - scan.valid_end, registry,
+                            delta_segments, delta_changes, covered,
+                            stage_seconds, snapshot_bytes)
+    return result, scan, delta_scan
 
 
 # -- the durability orchestrator ---------------------------------------------
@@ -878,10 +896,10 @@ class Durability:
     compactions are *delta* compactions — the committed groups are
     flattened into one fsynced segment of the delta log and the WAL is
     truncated, at a cost proportional to the changes folded, not the
-    store size.  Once the delta log outgrows ``delta_ratio`` times the
-    snapshot (or a fixed floor when no snapshot exists yet), the next
-    compaction is a *full rewrite*: a fresh atomic snapshot, after which
-    both the delta log and the WAL reset.  All writes go through the
+    store size.  Once the delta log outgrows half the snapshot's
+    uncompressed size (or a fixed floor when no snapshot exists yet),
+    the next compaction is a *full rewrite*: a fresh atomic snapshot,
+    after which both the delta log and the WAL reset.  All writes go through the
     checksummed formats in :mod:`repro.triples.persistence` and this
     module, so a crash at any point leaves a recoverable directory.
 
@@ -894,16 +912,12 @@ class Durability:
 
     def __init__(self, store: TripleStore, directory: str,
                  namespaces: Optional[NamespaceRegistry] = None,
-                 compact_every: int = 64, fsync: bool = True,
-                 delta_ratio: float = 0.5) -> None:
+                 compact_every: int = 64, fsync: bool = True) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
-        if delta_ratio < 0:
-            raise ValueError("delta_ratio must be >= 0")
         self.directory = directory
         self.namespaces = namespaces
         self.compact_every = compact_every
-        self.delta_ratio = delta_ratio
         self._store = store
         # Guards the commit/compaction metadata (_groups_since_snapshot)
         # and serializes flush-vs-compact decisions.  Lock order:
@@ -914,15 +928,20 @@ class Durability:
         os.makedirs(directory, exist_ok=True)
         self._snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
         wal_path = os.path.join(directory, WAL_FILE)
+        deltas_path = os.path.join(directory, DELTAS_FILE)
         had_state = (os.path.exists(self._snapshot_path)
                      or os.path.exists(wal_path))
         self.recovered: Optional[RecoveryResult] = None
         if had_state:
-            self.recovered = recover(directory, store, namespaces)
-        self._wal = WriteAheadLog(wal_path, fsync=fsync)
+            # The log handles reuse recovery's scans: each log is read
+            # once per open.
+            self.recovered, wal_scan, delta_scan = _recover(
+                directory, store, namespaces)
+        else:
+            wal_scan, delta_scan = scan_wal(wal_path), scan_deltas(deltas_path)
+        self._wal = WriteAheadLog(wal_path, wal_scan, fsync=fsync)
         try:
-            self._deltas = _DeltaLog(os.path.join(directory, DELTAS_FILE),
-                                     fsync=fsync)
+            self._deltas = _DeltaLog(deltas_path, delta_scan, fsync=fsync)
         except BaseException:
             self._wal.close()
             raise
@@ -1159,7 +1178,7 @@ class Durability:
         Routine housekeeping is a delta compaction — O(changes since the
         last compact) and needing no store lock at all, so a commit
         never stalls on store size.  A full snapshot rewrite happens only
-        once the delta log outgrows ``delta_ratio`` × the snapshot (or
+        once the delta log outgrows ``_DELTA_RATIO`` × the snapshot (or
         the fixed floor when no snapshot exists yet).
         """
         with self._meta_lock:
@@ -1181,6 +1200,9 @@ class Durability:
     #: small stores would otherwise rewrite constantly (any delta log
     #: dwarfs a tiny snapshot).
     _DELTA_FLOOR_BYTES = 64 * 1024
+    #: Above the floor, a full rewrite is due once the delta log
+    #: outgrows this fraction of the snapshot's uncompressed size.
+    _DELTA_RATIO = 0.5
 
     def _full_rewrite_due(self) -> bool:
         """Whether the delta log has outgrown the snapshot it amends.
@@ -1191,7 +1213,7 @@ class Durability:
         store for the same amount of change.
         """
         threshold = max(self._DELTA_FLOOR_BYTES,
-                        self.delta_ratio * self._snapshot_bytes)
+                        self._DELTA_RATIO * self._snapshot_bytes)
         return self._deltas.size > threshold
 
     def _on_change(self, action: str, triple: Triple, sequence: int) -> None:

@@ -38,7 +38,8 @@ from repro.triples.transactions import Batch
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, Triple, triple
 from repro.triples.views import View
-from repro.triples.wal import (WAL_FILE, Durability, WriteAheadLog, recover)
+from repro.triples.wal import (WAL_FILE, Durability, WriteAheadLog, recover,
+                               scan_wal)
 
 
 
@@ -560,7 +561,7 @@ class TestDurabilityEdgeCases:
 
     def test_empty_wal_commit_writes_nothing(self, tmp_path):
         path = str(tmp_path / "log.wal")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         from repro.triples.transactions import Change
         wal.append(Change("add", triple("s", "p", 1), 0))
         assert wal.commit() == 1

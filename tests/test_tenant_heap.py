@@ -12,6 +12,10 @@ Two properties keep a served tenant's heap out of the collector's way
   heap after each cold open; the server's reaper reconciles
   (unfreeze, collect, refreeze) so cycles stranded by a freeze are
   reclaimed.  A reconcile never runs on a request path.
+- **Recovery runs collector-free.**  Every :func:`recover` (and so every
+  durable open) and every registry cold open pause the collector through
+  one process-wide count, which restores the collector's prior state
+  when the last overlapping pause ends.
 """
 
 import gc
@@ -23,13 +27,14 @@ import pytest
 
 from repro.errors import PersistenceError
 from repro.service.client import ServiceClient
-from repro.service.registry import PadRegistry
+from repro.service.registry import PadRegistry, TenantHandle
 from repro.service.server import MUTATIONS, READS, TrimService
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Resource
-from repro.triples.wal import Durability
+from repro.triples.wal import Durability, recover
+from tests.snapshot_files import v2_text_snapshot
 
 
 @pytest.fixture
@@ -219,6 +224,28 @@ class TestFrozenHeap:
             gc.enable()
         registry.close_all()
 
+    def test_failed_open_leaves_the_frozen_heap_frozen(self, tmp_path):
+        """A refused cold open (a snapshot an earlier release wrote)
+        leaves the heap that an earlier open froze frozen."""
+        old = tmp_path / "old"
+        trim = TrimManager(durable=str(old))
+        trim.create("slim:s1", "slim:name", "K+")
+        trim.commit()
+        trim.durability.compact()
+        (old / "snapshot.slim").write_bytes(
+            v2_text_snapshot(trim.store, group=1))
+        trim.close()
+        registry = PadRegistry(str(tmp_path), idle_ttl=0.0)
+        try:
+            registry.release(registry.acquire("fine"))
+            assert gc.get_freeze_count() > 0
+            with pytest.raises(PersistenceError, match="earlier release"):
+                registry.acquire("old")
+            assert gc.get_freeze_count() > 0
+            assert gc.isenabled()
+        finally:
+            registry.close_all()
+
     def test_admin_stats_carries_the_heap_block(self, tmp_path):
         svc = TrimService(str(tmp_path), port=0,
                           reap_interval=60.0).start_in_background()
@@ -301,3 +328,114 @@ class TestFrozenHeap:
                 assert heap["frozen"] - baseline < 60, (baseline, heap)
         finally:
             svc.stop()
+
+
+def _durable_pad(directory, count=3000):
+    """A directory holding a *count*-triple snapshot and a WAL tail."""
+    trim = TrimManager(durable=directory, compact_every=10_000)
+    for i in range(count):
+        trim.create(f"slim:s{i}", "slim:name", f"scrap {i}")
+    trim.commit()
+    trim.durability.compact()
+    trim.create("slim:tail", "slim:name", "tail")
+    trim.commit()
+    trim.close()
+
+
+class TestCollectorPause:
+    def test_recover_collects_once_after_the_load(self, tmp_path):
+        """The load runs no collection.  Re-enabling the collector when
+        the pause ends leaves what the load built in the young
+        generation, and the next allocation collects it once."""
+        directory = str(tmp_path / "ward")
+        _durable_pad(directory)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append((info["generation"], gc.isenabled()))
+
+        # A small threshold makes recovery's allocations trip young
+        # collections within a few hundred objects if the collector runs.
+        old_threshold = gc.get_threshold()
+        gc.set_threshold(100, 10, 10)
+        gc.collect()    # zero every generation's count
+        gc.callbacks.append(count)
+        try:
+            assert gc.isenabled()
+            result = recover(directory)
+            [[] for _ in range(50)]   # fewer than one young threshold
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*old_threshold)
+        assert len(result.store) == 3001
+        assert collections == [(0, True)]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_recover_keeps_the_collectors_prior_state(self, tmp_path,
+                                                      enabled):
+        directory = str(tmp_path / "ward")
+        _durable_pad(directory, count=10)
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "snapshot.slim").write_bytes(b"not a snapshot")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert len(recover(directory).store) == 11
+            assert gc.isenabled() is enabled
+            with pytest.raises(PersistenceError):
+                recover(str(broken))
+            assert gc.isenabled() is enabled
+            TrimManager(durable=directory).close()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_interleaved_opens_of_two_registries(self, tmp_path,
+                                                 monkeypatch):
+        """The collector is process-wide: with two registries opening at
+        once, it stays off until the last open ends, whichever registry
+        began first."""
+        entered = {name: threading.Event() for name in ("a", "b")}
+        proceed = {name: threading.Event() for name in ("a", "b")}
+        real_init = TenantHandle.__init__
+
+        def gated_init(self, name, *args, **kwargs):
+            real_init(self, name, *args, **kwargs)
+            entered[name].set()
+            assert proceed[name].wait(10)
+
+        monkeypatch.setattr(TenantHandle, "__init__", gated_init)
+        registries = {"a": PadRegistry(str(tmp_path / "one")),
+                      "b": PadRegistry(str(tmp_path / "two"))}
+        acquired = {}
+
+        def acquire(name):
+            acquired[name] = registries[name].acquire(name)
+
+        threads = {name: threading.Thread(target=acquire, args=(name,))
+                   for name in ("a", "b")}
+        assert gc.isenabled()
+        try:
+            threads["a"].start()
+            assert entered["a"].wait(10)
+            threads["b"].start()
+            assert entered["b"].wait(10)
+            assert not gc.isenabled()
+            proceed["a"].set()          # the first open ends first
+            threads["a"].join(10)
+            assert not threads["a"].is_alive()
+            assert not gc.isenabled()   # b is still opening
+            proceed["b"].set()
+            threads["b"].join(10)
+            assert not threads["b"].is_alive()
+            assert gc.isenabled()
+            assert sorted(acquired) == ["a", "b"]
+        finally:
+            for name in ("a", "b"):
+                proceed[name].set()
+                threads[name].join(10)
+                registries[name].close_all()
+            gc.enable()

@@ -16,6 +16,9 @@ from repro.triples.transactions import Batch, UndoLog
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, Triple, triple
 
+from tests.snapshot_files import (framed, raw_segments, stored_segments,
+                                  v2_text_snapshot)
+
 uris = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
                min_size=1, max_size=12)
 resources = st.builds(Resource, uris)
@@ -230,13 +233,17 @@ class TestSnapshots:
         assert [snapshot.document.store.sequence_of(t) for t in items] == \
             [s.sequence_of(t) for t in items]
 
-    def test_v2_snapshot_header_is_human_readable(self, tmp_path):
+    def test_v2_snapshot_is_refused(self, tmp_path):
         s = TripleStore()
         s.add(triple("a", "p", 1))
         path = str(tmp_path / "snap.slim")
-        persistence.save_snapshot(s, path, group=3, format=2)
-        first_line = open(path, "rb").readline().decode("ascii")
-        assert first_line.startswith("#slim-snapshot v2 group=3 ")
+        open(path, "wb").write(v2_text_snapshot(s, group=3))
+        before = open(path, "rb").read()
+        target = TripleStore()
+        with pytest.raises(PersistenceError, match="earlier release"):
+            persistence.load_snapshot(path, store=target)
+        assert len(target) == 0
+        assert open(path, "rb").read() == before
 
     def test_v3_snapshot_starts_with_binary_magic(self, tmp_path):
         s = TripleStore()
@@ -364,44 +371,9 @@ class TestV3SnapshotFormat:
         assert list(loaded) == list(s)
 
 
-def _stored_segments(data):
-    """The ``(kind, stored payload)`` segments of a v3 snapshot."""
-    assert data[:8] == persistence.SNAPSHOT_MAGIC_V3
-    segments = []
-    offset = 8
-    frame = persistence._SEG
-    while offset < len(data):
-        kind, length, _crc = frame.unpack_from(data, offset)
-        offset += frame.size
-        segments.append((kind, data[offset:offset + length]))
-        offset += length
-    return segments
-
-
-def _raw_segments(data):
-    """The segments with every ``d``/``t`` payload inflated and
-    relabelled ``D``/``T``: the uncompressed form of the snapshot."""
-    raw = []
-    for kind, payload in _stored_segments(data):
-        if kind in (ord("d"), ord("t")):
-            raw.append((ord(chr(kind).upper()),
-                        persistence._inflate(payload, "test")))
-        else:
-            raw.append((kind, payload))
-    return raw
-
-
-def _framed(segments):
-    """A v3 file from ``(kind, payload)`` segments, each CRC-framed."""
-    out = bytearray(persistence.SNAPSHOT_MAGIC_V3)
-    for kind, payload in segments:
-        persistence._append_segment(out, kind, payload)
-    return bytes(out)
-
-
 def _dictionary_nodes(data):
     nodes = []
-    for kind, payload in _raw_segments(data):
+    for kind, payload in raw_segments(data):
         if kind == ord("D"):
             persistence._decode_dictionary(payload, "test", nodes)
     return nodes
@@ -429,34 +401,43 @@ def _pad_store(count=600):
 
 class TestCompressedV3Segments:
     """Dictionary and row segments are stored zlib-compressed as ``d``/
-    ``t`` kinds; files holding raw ``D``/``T`` segments still load."""
+    ``t`` kinds; files holding raw ``D``/``T`` segments, which releases
+    before compression wrote, are refused."""
 
     def test_writer_compresses_dictionary_and_rows(self, tmp_path):
         path = str(tmp_path / "snap.slim")
         raw_size = persistence.save_snapshot(_pad_store(), path, group=4)
         data = open(path, "rb").read()
-        kinds = {chr(kind) for kind, _ in _stored_segments(data)}
+        kinds = {chr(kind) for kind, _ in stored_segments(data)}
         assert kinds == {"H", "d", "t", "E"}
-        legacy = _framed(_raw_segments(data))
+        legacy = framed(raw_segments(data))
         # save_snapshot reports the uncompressed size: exactly the size
         # of the same snapshot with raw D/T segments.
         assert raw_size == len(legacy)
         assert len(data) * 2 < len(legacy)
 
-    def test_legacy_uncompressed_v3_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("raw_kinds", ["DT", "D", "T"])
+    def test_raw_segments_are_refused(self, raw_kinds, tmp_path):
         store = _pad_store()
         store.restore(triple("late", "p", -0.0), 10**6)
         path = str(tmp_path / "snap.slim")
-        persistence.save_snapshot(store, path, group=7)
-        legacy = _framed(_raw_segments(open(path, "rb").read()))
+        raw_size = persistence.save_snapshot(store, path, group=7)
+        data = open(path, "rb").read()
+        legacy = framed(raw_segments(data, raw_kinds))
         legacy_path = str(tmp_path / "legacy.slim")
         open(legacy_path, "wb").write(legacy)
-        snapshot = persistence.load_snapshot(legacy_path)
+        target = TripleStore()
+        with pytest.raises(PersistenceError, match="earlier release"):
+            persistence.load_snapshot(legacy_path, store=target)
+        assert len(target) == 0
+        assert open(legacy_path, "rb").read() == legacy
+        # The compressed original still loads, and reports the size
+        # its chunks take uncompressed.
+        snapshot = persistence.load_snapshot(path)
         assert snapshot.group == 7
-        assert snapshot.raw_bytes == len(legacy)
+        assert snapshot.raw_bytes == raw_size == len(
+            framed(raw_segments(data)))
         assert _canonical(snapshot.document.store) == _canonical(store)
-        compressed = persistence.load_snapshot(path)
-        assert compressed.raw_bytes == len(legacy)
 
     @given(values=st.lists(st.one_of(
         st.sampled_from([0.0, -0.0, float("nan"), -float("nan"),
@@ -481,13 +462,13 @@ class TestCompressedV3Segments:
         path = str(tmp_path / "snap.slim")
         persistence.save_snapshot(_pad_store(50), path)
         data = open(path, "rb").read()
-        segments = _stored_segments(data)
+        segments = stored_segments(data)
         index = next(i for i, (kind, _) in enumerate(segments)
                      if kind == ord("d"))
         stored = segments[index][1]
         raw = persistence._inflate(stored, "test")
         segments[index] = (ord("d"), rewrite(raw, stored))
-        open(path, "wb").write(_framed(segments))
+        open(path, "wb").write(framed(segments))
         return path
 
     @pytest.mark.parametrize("case", [
@@ -772,10 +753,19 @@ class TestStreamingLoad:
         path = str(tmp_path / "snap.slim")
         persistence.save_snapshot(original, path)
         data = bytearray(open(path, "rb").read())
-        # Flip a byte inside a literal's text so the payload stays
-        # well-formed XML: only the CRC check can catch this.
-        offset = data.find(b"Electrolyte")
-        data[offset] ^= 0x01
+        # Flip a byte inside the dictionary segment's payload, located
+        # from the segment framing: the frame stays intact, so only the
+        # CRC check can catch this.
+        offset = len(persistence.SNAPSHOT_MAGIC_V3)
+        frame = persistence._SEG
+        while True:
+            kind, length, _crc = frame.unpack_from(data, offset)
+            offset += frame.size
+            if kind == ord("d"):
+                break
+            offset += length
+        assert length > 8
+        data[offset + length // 2] ^= 0x01
         open(path, "wb").write(bytes(data))
         target = TripleStore()
         with pytest.raises(PersistenceError):

@@ -18,18 +18,23 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.errors import PersistenceError
+from repro.service.registry import PadRegistry
 from repro.triples import persistence
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.transactions import Change
 from repro.triples.trim import TrimManager
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
+from repro.triples import wal
 from repro.triples.wal import (DELTAS_FILE, MAGIC, SNAPSHOT_FILE, WAL_FILE,
                                Durability, WriteAheadLog, decode_record,
                                encode_change, encode_commit, recover,
                                scan_deltas, scan_wal)
 from repro.util.env import env_int
+
+from tests.snapshot_files import framed, raw_segments, v2_text_snapshot
 
 CRASH_POINTS = env_int("CRASH_POINTS", 40)
 
@@ -62,7 +67,7 @@ class TestRecordCodec:
 class TestWriteAheadLog:
     def test_append_commit_scan(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         c1 = Change("add", triple("a", "p", 1), 0)
         c2 = Change("add", triple("b", "p", 2), 1)
         wal.append(c1)
@@ -80,7 +85,7 @@ class TestWriteAheadLog:
 
     def test_pending_tail_not_in_groups(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.commit()
         wal.append(Change("add", triple("b", "p", 2), 1))
@@ -91,14 +96,14 @@ class TestWriteAheadLog:
 
     def test_reopen_truncates_corrupt_tail_and_appends(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.commit()
         wal.close()
         good_size = os.path.getsize(path)
         with open(path, "ab") as handle:
             handle.write(b"\x00\x01garbage tail")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         assert os.path.getsize(path) == good_size
         assert wal.group == 1
         wal.append(Change("add", triple("b", "p", 2), 1))
@@ -112,14 +117,14 @@ class TestWriteAheadLog:
         # boundary record would fence them into a committed group that
         # recovery replays but the live session never applied.
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.commit()
         committed_size = os.path.getsize(path)
         wal.append(Change("add", triple("ghost", "p", 2), 1))
         wal.close()   # crash: a complete record past the last boundary
         assert os.path.getsize(path) > committed_size
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         assert os.path.getsize(path) == committed_size
         wal.append(Change("add", triple("b", "p", 3), 1))
         wal.commit()
@@ -136,7 +141,7 @@ class TestWriteAheadLog:
 
     def test_reset_keeps_group_counter(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, scan_wal(path))
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.commit()
         wal.reset()
@@ -164,7 +169,7 @@ class _BrokenFile:
 class TestGroupCommitBuffering:
     def test_append_buffers_until_commit(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=False)
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.append(Change("add", triple("b", "p", 2), 1))
         # Nothing but the header on disk yet: records are buffered.
@@ -178,7 +183,7 @@ class TestGroupCommitBuffering:
 
     def test_close_writes_buffered_tail_without_boundary(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=False)
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.commit()
         wal.append(Change("add", triple("b", "p", 2), 1))
@@ -189,7 +194,7 @@ class TestGroupCommitBuffering:
 
     def test_reset_discards_buffered_records(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=False)
         wal.append(Change("add", triple("doomed", "p", 1), 0))
         wal.reset()
         assert wal.dirty == 0
@@ -203,7 +208,7 @@ class TestGroupCommitBuffering:
                                                          monkeypatch):
         import repro.triples.wal as wal_module
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=True)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=True)
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal.append(Change("add", triple("b", "p", 2), 1))
 
@@ -227,7 +232,7 @@ class TestGroupCommitBuffering:
 
     def test_commit_flush_failure_is_retryable(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=False)
         wal.append(Change("add", triple("a", "p", 1), 0))
         real_file = wal._file
         wal._file = _BrokenFile(real_file, {"flush"})
@@ -246,7 +251,7 @@ class TestGroupCommitBuffering:
         # the log must refuse all further writes: a later boundary record
         # could otherwise fence half-written frames into a committed group.
         path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, scan_wal(path), fsync=False)
         wal.append(Change("add", triple("a", "p", 1), 0))
         wal._file = _BrokenFile(wal._file, {"flush", "seek"})
         with pytest.raises(PersistenceError):
@@ -703,31 +708,23 @@ class TestDeltaLogCrashInjection:
 
 
 class TestMixedFormatRecovery:
-    """Directories written by older releases keep working unchanged.
-
-    The v3 loader auto-detects by magic, so a legacy v2 XML snapshot
-    composes with v3-era delta segments and a WAL tail; a pre-delta
-    directory (snapshot + WAL, no deltas file) recovers exactly as it
-    did before the delta log existed.
+    """A v3 snapshot composes with delta segments and a WAL tail, and a
+    pre-delta directory (snapshot + WAL, no deltas file) recovers as it
+    did before the delta log existed.  A snapshot an earlier release
+    wrote is refused (see :class:`TestOldSnapshotRefusal`).
     """
 
-    def test_v2_snapshot_with_delta_segments_and_wal_tail(self, tmp_path):
+    def test_v3_snapshot_with_delta_segments_and_wal_tail(self, tmp_path):
         directory = str(tmp_path)
         trim = TrimManager(durable=directory, compact_every=10_000)
         for i in range(3):
             trim.create(f"r{i}", "slim:size", i)
             trim.commit()
         trim.durability.compact()
-        # Swap the covering snapshot for its v2 text form, as an old
-        # release would have written it — same state, same group.
-        persistence.save_snapshot(trim.store,
-                                  os.path.join(directory, SNAPSHOT_FILE),
-                                  trim.namespaces,
-                                  group=trim.durability.group, format=2)
         trim.create("r3", "slim:size", 3)
         trim.remove(triple("r1", "slim:size", 1))
         trim.commit()
-        trim.durability.delta_compact()     # a v3-era delta segment
+        trim.durability.delta_compact()     # a delta segment
         trim.create("r4", "slim:size", 4)
         trim.commit()                       # a WAL tail on top
         expected = list(trim.store)
@@ -749,15 +746,12 @@ class TestMixedFormatRecovery:
 
     def test_pre_delta_directory_recovers(self, tmp_path):
         # Snapshot + WAL only — the layout every pre-delta release left
-        # behind.  Built with a v2 snapshot and the deltas file removed.
+        # behind.  Built with the deltas file removed.
         directory = str(tmp_path)
         trim = TrimManager(durable=directory, compact_every=10_000)
         trim.create("a", "p", 1)
         trim.commit()
-        persistence.save_snapshot(trim.store,
-                                  os.path.join(directory, SNAPSHOT_FILE),
-                                  trim.namespaces,
-                                  group=trim.durability.group, format=2)
+        trim.durability.compact()
         trim.create("b", "p", 2)
         trim.commit()
         expected = list(trim.store)
@@ -770,26 +764,93 @@ class TestMixedFormatRecovery:
         assert result.groups_replayed == 1
 
     def test_recovered_state_dumps_identically_across_formats(self, tmp_path):
-        # The same store persisted through a v2 snapshot and through a
-        # v3 snapshot must recover to byte-identical XML dumps (order,
-        # sequences, escaping — everything).
+        # The same store recovered from a v3 snapshot and read back from
+        # the XML interchange dumps byte-identically (order, escaping —
+        # everything), and the snapshot also keeps every sequence.
         source = TripleStore()
         source.add(triple("b1", "slim:bundleName", "Electrolyte"))
         source.add(triple("s2", "slim:scrapName", "CR\rLF\nNUL\x00"))
         source.add(triple("b1", "slim:bundleWeight", 70.5))
         source.remove(triple("s2", "slim:scrapName", "CR\rLF\nNUL\x00"))
         source.restore(triple("s2", "slim:scrapName", "CR\rLF\nNUL\x00"), 1)
-        stores = []
-        for version in (2, 3):
-            directory = tmp_path / f"v{version}"
-            directory.mkdir()
-            persistence.save_snapshot(source, str(directory / SNAPSHOT_FILE),
-                                      group=1, format=version)
-            stores.append(recover(str(directory)).store)
-        v2_store, v3_store = stores
-        assert persistence.dumps(v2_store, with_sequences=True) == \
-            persistence.dumps(v3_store, with_sequences=True) == \
-            persistence.dumps(source, with_sequences=True)
+        persistence.save_snapshot(source, str(tmp_path / SNAPSHOT_FILE),
+                                  group=1)
+        recovered = recover(str(tmp_path)).store
+        interchange = persistence.loads(persistence.dumps(source))
+        assert persistence.dumps(recovered) == \
+            persistence.dumps(interchange) == persistence.dumps(source)
+        assert [recovered.sequence_of(t) for t in recovered] == \
+            [source.sequence_of(t) for t in source]
+
+
+def _old_format_directory(directory, form):
+    """A durable directory (snapshot, one delta segment, a WAL tail)
+    whose snapshot is then rewritten in *form*, as an earlier release
+    wrote it: ``"v2"`` (XML text) or ``"raw-v3"`` (raw ``D``/``T``)."""
+    trim = TrimManager(durable=directory, compact_every=10_000)
+    trim.create("r0", "slim:size", 0)
+    trim.commit()
+    trim.durability.compact()
+    trim.create("r1", "slim:size", 1)
+    trim.commit()
+    trim.durability.delta_compact()
+    trim.create("r2", "slim:size", 2)
+    trim.commit()
+    trim.close()
+    path = os.path.join(directory, SNAPSHOT_FILE)
+    if form == "v2":
+        data = v2_text_snapshot(trim.store, group=1)
+    else:
+        data = framed(raw_segments(open(path, "rb").read()))
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def _directory_bytes(directory):
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestOldSnapshotRefusal:
+    """A snapshot an earlier release wrote raises the one migration
+    error through every way a directory is opened, and the refusal
+    leaves every file in the directory byte-identical."""
+
+    def _open_trim(self, directory):
+        TrimManager(durable=directory)
+
+    def _open_registry(self, directory):
+        registry = PadRegistry(os.path.dirname(directory))
+        try:
+            registry.acquire(os.path.basename(directory))
+        finally:
+            registry.close_all()
+
+    @pytest.mark.parametrize("form", ["v2", "raw-v3"])
+    @pytest.mark.parametrize("opener", ["recover", "trim", "registry"])
+    def test_refused_without_touching_the_directory(self, form, opener,
+                                                    tmp_path):
+        directory = str(tmp_path / "pad")
+        _old_format_directory(directory, form)
+        before = _directory_bytes(directory)
+        open_directory = {"recover": recover, "trim": self._open_trim,
+                          "registry": self._open_registry}[opener]
+        with pytest.raises(PersistenceError) as excinfo:
+            open_directory(directory)
+        message = str(excinfo.value)
+        assert SNAPSHOT_FILE in message
+        assert "earlier release" in message
+        assert "previous release and compact it" in message
+        assert _directory_bytes(directory) == before
+
+    @pytest.mark.parametrize("form", ["v2", "raw-v3"])
+    def test_cli_recover_exits_1(self, form, tmp_path, capsys):
+        directory = str(tmp_path / "pad")
+        _old_format_directory(directory, form)
+        before = _directory_bytes(directory)
+        assert main(["recover", directory]) == 1
+        assert "earlier release" in capsys.readouterr().err
+        assert _directory_bytes(directory) == before
 
 
 class TestDurabilityLifecycle:
@@ -906,32 +967,75 @@ class TestDurabilityLifecycle:
             triple("x", "p", "from file")]
 
 
+class TestOneScanPerOpen:
+    """A durable open reads each log once: recovery's scans are handed
+    to the log handles instead of being taken again."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        for name in ("scan_wal", "scan_deltas"):
+            real = getattr(wal, name)
+
+            def counting(path, _real=real, _name=name):
+                calls.append(_name)
+                return _real(path)
+
+            monkeypatch.setattr(wal, name, counting)
+        return calls
+
+    def test_durable_open_of_existing_state(self, tmp_path, scans):
+        directory = str(tmp_path)
+        trim = TrimManager(durable=directory, compact_every=10_000)
+        trim.create("a", "p", 1)
+        trim.commit()
+        trim.durability.compact()
+        trim.create("b", "p", 2)
+        trim.commit()
+        trim.durability.delta_compact()
+        trim.create("c", "p", 3)
+        trim.commit()
+        expected = list(trim.store)
+        trim.close()
+        scans.clear()
+        reopened = TrimManager(durable=directory)
+        assert sorted(scans) == ["scan_deltas", "scan_wal"]
+        assert list(reopened.store) == expected
+        assert reopened.recovery_stats()["delta_segments"] == 1
+        assert reopened.recovery_stats()["groups_replayed"] == 1
+        # The handles opened from the shared scans keep logging.
+        reopened.create("d", "p", 4)
+        reopened.commit()
+        reopened.close()
+        assert list(recover(directory).store) == \
+            expected + [triple("d", "p", 4)]
+
+    def test_durable_open_of_a_fresh_directory(self, tmp_path, scans):
+        trim = TrimManager(durable=str(tmp_path / "fresh"))
+        assert sorted(scans) == ["scan_deltas", "scan_wal"]
+        trim.close()
+
+
 def _uncompressed_size(path):
     """The size *path* would have with every compressed ``d``/``t``
     segment stored raw — recomputed here from the file itself."""
-    data = open(path, "rb").read()
-    frame = persistence._SEG
-    size = offset = len(persistence.SNAPSHOT_MAGIC_V3)
-    while offset < len(data):
-        kind, length, _crc = frame.unpack_from(data, offset)
-        payload = data[offset + frame.size:offset + frame.size + length]
-        if kind in (ord("d"), ord("t")):
-            payload = persistence._inflate(payload, path)
-        size += frame.size + len(payload)
-        offset += frame.size + length
-    return size
+    return len(framed(raw_segments(open(path, "rb").read())))
 
 
 class TestFullRewriteTrigger:
     """The delta log is weighed against the snapshot's *uncompressed*
-    size, so compressing snapshots leaves the rewrite cadence alone."""
+    size, so compressing snapshots leaves the rewrite cadence alone.
 
-    RATIO = 4.0
+    The store is large enough that ``_DELTA_RATIO`` times its snapshot
+    is above the fixed floor, so the ratio decides.
+    """
+
+    RATIO = Durability._DELTA_RATIO
 
     def _populated(self, directory):
         store = TripleStore()
-        durability = Durability(store, directory, delta_ratio=self.RATIO)
-        for i in range(1500):
+        durability = Durability(store, directory)
+        for i in range(6000):
             store.add(triple(f"scrap-{i:05d}", "slim:scrapName",
                              f"renamed in cycle {i % 97}"))
         durability.commit()
@@ -961,8 +1065,7 @@ class TestFullRewriteTrigger:
     def test_flips_at_uncompressed_size_after_reopen(self, tmp_path):
         directory = str(tmp_path)
         self._populated(directory).close()
-        reopened = Durability(TripleStore(), directory,
-                              delta_ratio=self.RATIO)
+        reopened = Durability(TripleStore(), directory)
         assert reopened.recovered.snapshot_bytes == _uncompressed_size(
             os.path.join(directory, SNAPSHOT_FILE))
         self._assert_flips_at_uncompressed_basis(reopened, directory)
@@ -1040,5 +1143,6 @@ class TestHousekeepingFsyncs:
         assert len(fsyncs) == 1
 
     def test_creating_the_log_fsyncs(self, tmp_path, fsyncs):
-        WriteAheadLog(str(tmp_path / WAL_FILE)).close()
+        path = str(tmp_path / WAL_FILE)
+        WriteAheadLog(path, scan_wal(path)).close()
         assert len(fsyncs) == 1
