@@ -58,9 +58,9 @@ bench-service:   ## full-scale TRIM-service benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_service.py --benchmark-only -q -s
 
 # Regenerates BENCH_trim_recovery.json at full scale: v3 binary
-# snapshot load vs WAL replay at 100k and 1M triples, cold tenant
-# open p50/p99 through the registry (eviction compacts), and the
-# delta-compaction stall as the store grows 10x.
+# snapshot load vs WAL replay at 100k and 1M triples (median of five
+# trials each), and cold tenant open p50/p99 through the registry
+# (eviction compacts).
 bench-recovery:  ## full-scale cold-start recovery benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_recovery.py --benchmark-only -q -s
 

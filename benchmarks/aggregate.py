@@ -66,8 +66,6 @@ HEADLINES = {
         "snapshot_recovery_speedup_1m": ("snapshot_vs_replay",
                                          "speedup_1m"),
         "cold_open_p99_us": ("cold_open", "open_p99_us"),
-        "compaction_stall_ratio_10x": ("compaction_stall",
-                                       "stall_ratio_10x"),
     },
 }
 

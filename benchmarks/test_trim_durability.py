@@ -25,7 +25,8 @@ import pytest
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Resource, triple
-from repro.triples.wal import recover
+from repro.triples.wal import (WAL_FILE, Durability, encode_change,
+                               encode_commit, recover, scan_wal)
 from repro.workloads.generator import random_triples
 
 from benchmarks.conftest import print_table, run_once
@@ -136,20 +137,41 @@ def test_recovery_snapshot_vs_wal_replay(benchmark, workload, tmp_path):
           f"{replay_s:.6f}", f"{replay_s / snapshot_s:.1f}x")])
 
 
+def _group_bytes(group, changes):
+    """The bytes one committed group occupies in the WAL, frames included."""
+    frame = 8   # u32 length + u32 crc32
+    return (sum(frame + len(encode_change(change)) for change in changes)
+            + frame + len(encode_commit(group)))
+
+
 def test_compaction_bounds_recovery_time(benchmark, workload, tmp_path):
-    """With compact_every set, recovery replays at most one window's groups."""
+    """With compact_every set, the WAL recovery replays stays bounded.
+
+    The routine step weighs the WAL every ``compact_every`` groups and
+    rewrites the snapshot once the WAL is over the trigger, so the WAL a
+    crash leaves holds at most the threshold plus one window's groups.
+    """
     directory = str(tmp_path / "compacting")
     trim = _durable_session(directory, workload, fsync=False,
                             compact_every=8)
     trim.close()
+    wal_path = os.path.join(directory, WAL_FILE)
+    wal_bytes = os.path.getsize(wal_path)
     recover_s, result = run_once(
         benchmark, lambda: _timed(lambda: recover(directory)))
     assert len(result.store) == len(set(workload))
-    assert result.groups_replayed < 8
+    threshold = max(Durability._DELTA_FLOOR_BYTES,
+                    Durability._DELTA_RATIO * result.snapshot_bytes)
+    window = 8 * max((_group_bytes(group, changes)
+                      for group, changes in scan_wal(wal_path).groups),
+                     default=0)
+    assert wal_bytes <= threshold + window
     _RESULTS["compacted_recovery"] = {
         "compact_every": 8,
         "groups_replayed": result.groups_replayed,
         "snapshot_triples": result.snapshot_triples,
+        "wal_bytes": wal_bytes,
+        "wal_bound_bytes": int(threshold + window),
         "recover_s": round(recover_s, 6),
     }
     print_table(
@@ -157,6 +179,7 @@ def test_compaction_bounds_recovery_time(benchmark, workload, tmp_path):
         ["metric", "value"],
         [("snapshot triples", result.snapshot_triples),
          ("WAL groups replayed", result.groups_replayed),
+         ("WAL bytes (bound)", f"{wal_bytes} ({int(threshold + window)})"),
          ("recover seconds", f"{recover_s:.6f}")])
 
 

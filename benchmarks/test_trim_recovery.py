@@ -1,6 +1,6 @@
-"""Cold-start recovery: binary snapshots, cold opens, delta stalls.
+"""Cold-start recovery: binary snapshots and cold opens.
 
-Three questions the recovery overhaul raises:
+Two questions the recovery overhaul raises:
 
 1. **Snapshot vs replay, at scale** — rebuilding an N-triple state from
    a v3 binary columnar snapshot versus replaying the WAL, at 100k and
@@ -8,16 +8,12 @@ Three questions the recovery overhaul raises:
    trajectory); the binary format with the ``restore_rows`` fast path
    must reverse that.  Both recovery shapes are timed into the store
    ``repro serve`` opens for a tenant, ``TripleStore(concurrent=True)``,
-   so the ratio isolates the on-disk format.
+   so the ratio isolates the on-disk format.  Each point is timed
+   ``SPEEDUP_TRIALS`` times: the headline is the median speedup, and
+   every trial is recorded beside the minimum and the IQR.
 2. **Cold tenant open latency** — the full service path: evicted
    (compacted-on-close) tenants reopened through ``PadRegistry``,
    p50/p99 from the registry's own open-latency window.
-3. **Compaction stall** — delta compaction folds the committed WAL tail
-   into an fsynced delta segment without rewriting the snapshot, so the
-   stall must track changes-since-last-compact, staying flat as the
-   store grows 10x.  One stall is a few milliseconds, so the headline
-   ratio is the median of ``STALL_TRIALS`` paired trials, each of which
-   is recorded.
 
 Results print via ``print_table`` (run with ``-s``) and aggregate into
 ``BENCH_trim_recovery.json`` at the repo root.  ``BENCH_SMOKE=1``
@@ -51,14 +47,10 @@ SCALE_POINTS = (
 #: cold-open shape: tenants x triples each.
 COLD_TENANTS = 3 if _SMOKE else 8
 COLD_TRIPLES = 300 if _SMOKE else 5_000
-#: compaction-stall shape: base store size (and 10x it), changes per
-#: measured compact.
-STALL_BASE = 1_000 if _SMOKE else 20_000
-STALL_CHANGES = 500
-#: Paired (base, 10x) stall measurements; the headline is their median.
-#: Single trials of one tree spread 0.3x-1.9x, and a 5-trial median moved
-#: more than the regression gate's 15% band between runs of the same code.
-STALL_TRIALS = 15
+#: Timed (replay, snapshot) pairs per scale point; the headline is the
+#: median speedup.  Single runs of the 1M point read 1.71x-2.45x on one
+#: tree, a spread wider than the regression gate's 15% band.
+SPEEDUP_TRIALS = 5
 _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_trim_recovery.json"
 
 #: Sections accumulated by the tests below; the last test writes the file.
@@ -85,6 +77,24 @@ def _build_dirs(base, items):
     return wal_dir, snap_dir
 
 
+def _speedup_trial(wal_dir, snap_dir):
+    """One timed full WAL replay and one timed snapshot load of the same
+    final state: ``(replay_s, snapshot_s)``."""
+    # One recovered store alive at a time: the snapshot load must not be
+    # timed under the replayed store's memory.
+    replay_s, replayed = _timed(lambda: recover(
+        wal_dir, store=TripleStore(concurrent=True)))
+    assert replayed.snapshot_triples == 0
+    replayed_triples = len(replayed.store)
+    del replayed
+    snapshot_s, snapshotted = _timed(lambda: recover(
+        snap_dir, store=TripleStore(concurrent=True)))
+    assert snapshotted.groups_replayed == 0
+    assert len(snapshotted.store) == replayed_triples
+    del snapshotted
+    return replay_s, snapshot_s
+
+
 def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
     """The headline reversal: v3 snapshot load vs full WAL replay."""
     sections = {}
@@ -97,36 +107,37 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
             base = tmp_path / label
             base.mkdir()
             wal_dir, snap_dir = _build_dirs(base, items)
+            del items
+            trials = []
+            for _ in range(SPEEDUP_TRIALS):
+                replay_s, snapshot_s = _speedup_trial(wal_dir, snap_dir)
+                trials.append({"replay_s": round(replay_s, 6),
+                               "snapshot_s": round(snapshot_s, 6),
+                               "speedup_x": round(replay_s / snapshot_s, 2)})
+            speedups = [t["speedup_x"] for t in trials]
+            q1, _, q3 = statistics.quantiles(speedups, n=4)
             point = {
                 "triples": count,
                 "wal_bytes": os.path.getsize(
                     os.path.join(wal_dir, "wal.log")),
                 "snapshot_bytes": os.path.getsize(
                     os.path.join(snap_dir, "snapshot.slim")),
+                "replay_s": statistics.median(t["replay_s"] for t in trials),
+                "snapshot_s": statistics.median(
+                    t["snapshot_s"] for t in trials),
+                "speedup_x": round(statistics.median(speedups), 2),
+                "speedup_min": min(speedups),
+                "speedup_iqr": round(q3 - q1, 2),
+                "trials": trials,
             }
-            # One recovered store alive at a time: the snapshot load must
-            # not be timed under the replayed store's memory.
-            replay_s, replayed = _timed(lambda: recover(
-                wal_dir, store=TripleStore(concurrent=True)))
-            assert replayed.snapshot_triples == 0
-            replayed_triples = len(replayed.store)
-            del replayed
-            snapshot_s, snapshotted = _timed(lambda: recover(
-                snap_dir, store=TripleStore(concurrent=True)))
-            assert snapshotted.groups_replayed == 0
-            assert len(snapshotted.store) == replayed_triples
-            del snapshotted
-            point.update({
-                "replay_s": round(replay_s, 6),
-                "snapshot_s": round(snapshot_s, 6),
-                "speedup_x": round(replay_s / snapshot_s, 2),
-            })
-            table_rows.append((label, f"{replay_s:.3f}", f"{snapshot_s:.3f}",
-                               f"{replay_s / snapshot_s:.2f}x"))
+            table_rows.append((label, f"{point['replay_s']:.3f}",
+                               f"{point['snapshot_s']:.3f}",
+                               f"{point['speedup_x']:.2f}x",
+                               f"{point['speedup_min']:.2f}x",
+                               f"{point['speedup_iqr']:.2f}"))
             sections[label] = point
-            # Drop the triples and stores between points: the 1M point
-            # must not be timed under the 100k point's garbage.
-            del items
+            # Drop the directories between points: the 1M point must not
+            # be timed under the 100k point's files.
             shutil.rmtree(base)
         return sections
 
@@ -134,11 +145,13 @@ def test_snapshot_vs_replay_at_scale(benchmark, tmp_path):
     _RESULTS["snapshot_vs_replay"] = {
         "speedup_100k": sections["100k"]["speedup_x"],
         "speedup_1m": sections["1m"]["speedup_x"],
+        "trials_per_point": SPEEDUP_TRIALS,
         **sections,
     }
     print_table(
-        "Snapshot load vs WAL replay (same final state)",
-        ["scale", "replay s", "snapshot s", "speedup"],
+        f"Snapshot load vs WAL replay (same final state, "
+        f"median of {SPEEDUP_TRIALS} trials)",
+        ["scale", "replay s", "snapshot s", "speedup", "min", "IQR"],
         table_rows)
 
 
@@ -190,66 +203,9 @@ def test_cold_tenant_open_latency(benchmark, tmp_path):
         [("p50", latency["p50_us"]), ("p99", latency["p99_us"])])
 
 
-def _stall_for(directory, size):
-    """Seconds one delta compaction takes over STALL_CHANGES fresh
-    changes, on a store holding *size* triples."""
-    trim = TrimManager()
-    trim.enable_durability(directory, fsync=False)
-    trim.bulk_ingest(random_triples(size, num_subjects=max(size // 10, 10),
-                                    num_properties=8))
-    trim.durability.compact()    # baseline: snapshot covers everything
-    for i in range(STALL_CHANGES):
-        trim.store.add(triple(Resource(f"fresh:s{i}"), Resource("fresh:p"),
-                              f"v{i}"))
-        if (i + 1) % 50 == 0:
-            trim.commit()
-    trim.commit()
-    stall_s, did = _timed(trim.durability.delta_compact)
-    assert did, "delta compaction must have fresh groups to fold"
-    trim.close()
-    return stall_s
-
-
-def test_compaction_stall_stays_flat(benchmark, tmp_path):
-    """Delta compaction cost tracks fresh changes, not store size."""
-
-    def measure_trials():
-        trials = []
-        for trial in range(STALL_TRIALS):
-            base_s = _stall_for(str(tmp_path / f"base-{trial}"), STALL_BASE)
-            big_s = _stall_for(str(tmp_path / f"big-{trial}"),
-                               STALL_BASE * 10)
-            trials.append({"stall_base_s": round(base_s, 6),
-                           "stall_10x_s": round(big_s, 6),
-                           "ratio_10x": round(big_s / base_s, 2)})
-        return trials
-
-    trials = run_once(benchmark, measure_trials)
-    base_s = statistics.median(t["stall_base_s"] for t in trials)
-    big_s = statistics.median(t["stall_10x_s"] for t in trials)
-    ratio = statistics.median(t["ratio_10x"] for t in trials)
-    _RESULTS["compaction_stall"] = {
-        "base_triples": STALL_BASE,
-        "big_triples": STALL_BASE * 10,
-        "changes_per_compact": STALL_CHANGES,
-        "stall_base_s": round(base_s, 6),
-        "stall_10x_s": round(big_s, 6),
-        "stall_ratio_10x": round(ratio, 2),
-        "trials": trials,
-    }
-    print_table(
-        f"Delta-compaction stall, {STALL_CHANGES} fresh changes "
-        f"(median of {STALL_TRIALS} trials)",
-        ["store size", "stall seconds"],
-        [(STALL_BASE, f"{base_s:.6f}"),
-         (STALL_BASE * 10, f"{big_s:.6f}"),
-         ("ratio", f"{ratio:.2f}x")])
-
-
 def test_writes_trajectory_json(benchmark, tmp_path):
     """Aggregate the sections above into BENCH_trim_recovery.json."""
-    assert set(_RESULTS) == {"snapshot_vs_replay", "cold_open",
-                             "compaction_stall"}, \
+    assert set(_RESULTS) == {"snapshot_vs_replay", "cold_open"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_recovery.json")
                  if _SMOKE else _JSON_PATH)

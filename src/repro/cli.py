@@ -14,7 +14,7 @@ Commands:
   corpus.
 - ``models`` — define the built-in superimposed models and list them.
 - ``recover DIR [--out PATH]`` — rebuild the durable store under DIR
-  (snapshot + delta segments + WAL tail) and print recovery statistics;
+  (snapshot + WAL tail) and print recovery statistics;
   optionally export the recovered triples to a plain XML file.
 - ``replay record|run|verify`` — the deterministic replay harness:
   ``record`` captures the built-in crash scenario (a WAL byte-offset
@@ -115,9 +115,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(f"recovered {len(store)} triple(s) from {args.directory}")
     print(f"  snapshot: {result.snapshot_triples} triple(s) "
           f"(through group {result.snapshot_group})")
-    print(f"  deltas: {result.delta_segments} segment(s), "
-          f"{result.delta_changes} change(s) "
-          f"(through group {result.covered_group})")
     print(f"  WAL tail: {result.groups_replayed} group(s), "
           f"{result.changes_replayed} change(s) replayed")
     if result.stage_seconds:

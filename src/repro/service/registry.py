@@ -144,7 +144,7 @@ class TenantHandle:
         opened = time.perf_counter()
         self.trim = TrimManager(durable=directory, concurrent=True)
         #: Cold-open cost: wall-clock seconds recovery took for this
-        #: tenant (snapshot + delta + WAL fold).
+        #: tenant (snapshot load + WAL replay).
         self.open_seconds = time.perf_counter() - opened
         self._dmi = None
         self._dmi_lock = threading.Lock()
@@ -271,9 +271,9 @@ class TenantHandle:
         Everything already queued is applied and durably committed —
         acked writes are never dropped — then the writer thread exits
         and the TRIM detaches its durability handle.  With *compact*
-        the tenant is fully compacted first — one v3 snapshot, delta
-        log and WAL reset — so the *next* open of this
-        directory is a pure snapshot load, the fastest recovery path.
+        the tenant is fully compacted first — one v3 snapshot, then a
+        WAL reset — so the *next* open of this directory is a pure
+        snapshot load, the fastest recovery path.
         Eviction passes it; shutdown does not (drain time over reopen
         speed when every tenant closes at once).
         """

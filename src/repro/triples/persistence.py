@@ -283,7 +283,7 @@ def _encode_snapshot_v3(store: TripleStore,
     length; the CRC covers the stored (compressed) bytes.  The
     uncompressed size is the length the same snapshot would have with
     every ``d``/``t`` payload stored raw — the basis the durability
-    layer's full-rewrite trigger compares the delta log against, so
+    layer's full-rewrite trigger compares the WAL against, so
     compression does not change when a rewrite fires.
     """
     # Resources intern by uri, a str whose hash is cached.  Literals

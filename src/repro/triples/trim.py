@@ -46,9 +46,6 @@ def _recovery_stats_dict(result) -> Dict[str, Any]:
     return {
         "snapshot_group": result.snapshot_group,
         "snapshot_triples": result.snapshot_triples,
-        "covered_group": result.covered_group,
-        "delta_segments": result.delta_segments,
-        "delta_changes": result.delta_changes,
         "groups_replayed": result.groups_replayed,
         "changes_replayed": result.changes_replayed,
         "last_group": result.last_group,
@@ -400,8 +397,8 @@ class TrimManager:
 
     def recovery_stats(self) -> Dict[str, Any]:
         """What the last durable open recovered, and how long each stage
-        took: volumes (triples, delta/WAL replay counts) plus
-        ``stage_seconds`` with ``snapshot_s``/``deltas_s``/``wal_s``.
+        took: volumes (snapshot triples, WAL replay counts) plus
+        ``stage_seconds`` with ``snapshot_s``/``wal_s``.
         Empty when not durable or when the directory was fresh (nothing
         recovered).
         """

@@ -14,7 +14,7 @@ scale nor crash-safe.  This module adds the classic durability pair:
   :class:`~repro.triples.trim.TrimManager`'s ``durable=`` mode: recovery
   on attach, logging while attached, and snapshot compaction (an atomic
   checksummed snapshot via :func:`repro.triples.persistence.save_snapshot`,
-  then a log reset) every *compact_every* groups.
+  then a log reset) once the log outgrows the snapshot it amends.
 - :func:`recover` — load the latest valid snapshot and replay the WAL
   tail.  Replay stops at the first corrupt or torn record (everything
   before it is kept, everything after discarded) and only *complete*
@@ -37,21 +37,12 @@ records the group it covers, and replay skips any logged group at or
 below it — so a crash *between* snapshot rename and log reset cannot
 double-apply changes.
 
-Compaction comes in two grades.  A **full rewrite** folds the whole
-store into a fresh snapshot — cost proportional to store size, which
-would stall whichever commit triggered it as the store grows.  The routine
-path is therefore **delta compaction**: the committed WAL groups are
-flattened into one fsynced segment appended to a side log
-(``deltas.slim``), and the WAL alone is truncated — cost proportional to
-the changes since the last compaction, independent of store size.
-Recovery folds state in snapshot → delta segments → WAL order, skipping
-anything at or below the group each layer already covers; the same
-monotone-group argument that makes snapshot compaction crash-safe at
-every intermediate step applies unchanged (append is fsynced before the
-WAL truncate, so a crash in between merely leaves covered groups in the
-WAL that replay skips).  A size-ratio trigger promotes to a full
-rewrite once the delta log outgrows half the snapshot, bounding recovery
-reads.
+The WAL is the only log between snapshots.  Every *compact_every*
+committed groups the WAL's size is weighed against the snapshot's
+uncompressed size; once it has outgrown half of it (or a fixed floor
+when the snapshot is small or absent), the store is rewritten into a
+fresh snapshot and the WAL reset.  A commit in between does no
+compaction work, and recovery reads one snapshot and one log.
 
 Concurrency (DESIGN.md §10): the log's buffer/offset state is guarded by
 an internal lock, so concurrent appenders and committers serialize
@@ -81,11 +72,9 @@ from repro.triples.triple import Literal, Resource, Triple
 from repro.util.heap import collector_paused
 
 MAGIC = b"SLIMWAL1"
-DELTA_MAGIC = b"SLIMDLT1"
 
 SNAPSHOT_FILE = "snapshot.slim"
 WAL_FILE = "wal.log"
-DELTAS_FILE = "deltas.slim"
 
 _FRAME = struct.Struct(">II")   # payload length, crc32
 _U64 = struct.Struct(">Q")
@@ -248,112 +237,6 @@ def scan_wal(path: str) -> WalScan:
                    committed_end)
 
 
-# -- delta segments ----------------------------------------------------------
-
-class DeltaSegment(NamedTuple):
-    """One flattened run of committed groups in the delta log."""
-
-    from_group: int         #: first WAL group folded into this segment
-    to_group: int           #: last WAL group folded into this segment
-    changes: List[Change]   #: the groups' changes, in commit order
-
-
-class DeltaScan(NamedTuple):
-    """Result of reading a delta log up to its last valid segment."""
-
-    segments: List[DeltaSegment]  #: valid segments, in append order
-    valid_end: int                #: byte offset of the last valid segment's end
-    total_bytes: int              #: file size as found on disk
-    covered_group: int            #: highest ``to_group`` seen (0 if none)
-
-
-def scan_deltas(path: str) -> DeltaScan:
-    """Read a delta log, truncating (logically) at the first bad segment.
-
-    Same prefix semantics as :func:`scan_wal`: torn frames, checksum
-    mismatches, garbled bodies, and non-monotone group ranges all end
-    the scan at the last fully valid segment — everything before the
-    damage is kept (the groups after it are still in the WAL, because
-    the WAL is only truncated once the covering segment is durable).
-    A missing file or a damaged magic header scans as empty.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return DeltaScan([], 0, 0, 0)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    total = len(data)
-    if data[:len(DELTA_MAGIC)] != DELTA_MAGIC:
-        return DeltaScan([], 0, total, 0)
-    segments: List[DeltaSegment] = []
-    offset = len(DELTA_MAGIC)
-    valid_end = offset
-    covered = 0
-    while offset + _FRAME.size <= total:
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > total:
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            break
-        try:
-            segment = _decode_delta_segment(payload)
-        except PersistenceError:
-            break
-        if segment.from_group <= covered or segment.to_group < segment.from_group:
-            break  # ranges must be disjoint and monotone
-        segments.append(segment)
-        covered = segment.to_group
-        offset = end
-        valid_end = end
-    return DeltaScan(segments, valid_end, total, covered)
-
-
-def encode_delta_segment(from_group: int, to_group: int,
-                         changes: List[Change]) -> bytes:
-    """Serialize one delta-segment payload (framed by the caller)."""
-    parts = [b"S", _U64.pack(from_group), _U64.pack(to_group),
-             _U32.pack(len(changes))]
-    for change in changes:
-        payload = encode_change(change)
-        parts.append(_U32.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def _decode_delta_segment(payload: bytes) -> DeltaSegment:
-    try:
-        if payload[:1] != b"S":
-            raise PersistenceError(
-                f"unknown delta segment kind: {payload[:1]!r}")
-        (from_group,) = _U64.unpack_from(payload, 1)
-        (to_group,) = _U64.unpack_from(payload, 1 + _U64.size)
-        (count,) = _U32.unpack_from(payload, 1 + 2 * _U64.size)
-        offset = 1 + 2 * _U64.size + _U32.size
-        changes: List[Change] = []
-        for _ in range(count):
-            (length,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            end = offset + length
-            if end > len(payload):
-                raise PersistenceError("delta change overruns segment")
-            record = decode_record(payload[offset:end])
-            if record.kind != "change":
-                raise PersistenceError(
-                    f"non-change record in delta segment: {record.kind}")
-            changes.append(record.change)
-            offset = end
-        if offset != len(payload):
-            raise PersistenceError("trailing bytes in delta segment")
-    except struct.error as exc:
-        raise PersistenceError(f"garbled delta segment: {exc}") from exc
-    return DeltaSegment(from_group, to_group, changes)
-
-
 # -- the log -----------------------------------------------------------------
 
 def _frame(payload: bytes) -> bytes:
@@ -434,6 +317,12 @@ class WriteAheadLog:
         return self._dirty
 
     @property
+    def size(self) -> int:
+        """Bytes of the file through its last committed group (drives
+        the full-rewrite trigger; buffered appends are not counted)."""
+        return self._good_end
+
+    @property
     def sync_count(self) -> int:
         """How many group-commit fsyncs this log has issued (0 when
         ``fsync=False``; housekeeping syncs on open/reset are not counted).
@@ -503,20 +392,6 @@ class WriteAheadLog:
                 self._group = max(self._group, group)
             self._buffer.clear()
             self._dirty = 0
-
-    def reset_to_header(self) -> None:
-        """Truncate the on-disk log to its magic header, *keeping* the
-        in-memory buffer of uncommitted appends.
-
-        The delta-compaction path calls this after folding every
-        committed group into a durable delta segment.  It is safe
-        precisely because of the group-commit write discipline: the
-        on-disk body holds only committed groups (:meth:`append` merely
-        buffers; :meth:`commit` writes), so dropping the body loses
-        nothing that is not already in the delta log.
-        """
-        with self._lock:
-            self._truncate_body()
 
     def close(self) -> None:
         """Write any buffered records, flush, and close (idempotent).
@@ -603,130 +478,26 @@ class WriteAheadLog:
                 f"cannot flush WAL {self.path}: {exc}") from exc
 
 
-class _DeltaLog:
-    """Append-only log of flattened committed-group segments.
-
-    The durable sibling of the WAL that makes routine compaction
-    O(changes-since-last-compact): :meth:`append` writes one CRC-framed
-    :func:`encode_delta_segment` record and fsyncs it; :meth:`reset`
-    truncates back to the magic header after a full snapshot rewrite.
-    Opening takes a :func:`scan_deltas` of the file (recovery's, when
-    there was one) and truncates a torn tail away, mirroring
-    :class:`WriteAheadLog`.  Callers (``Durability``) serialize access
-    under their meta lock, so no internal lock is needed.
-    """
-
-    def __init__(self, path: str, scan: DeltaScan,
-                 fsync: bool = True) -> None:
-        self.path = path
-        self._fsync = fsync
-        self.covered_group = scan.covered_group
-        self.segment_count = len(scan.segments)
-        self._file: Optional[IO[bytes]] = None
-        try:
-            if scan.valid_end == 0:
-                self._file = open(path, "wb")
-                self._file.write(DELTA_MAGIC)
-                self._size = len(DELTA_MAGIC)
-            else:
-                self._file = open(path, "r+b")
-                self._file.truncate(scan.valid_end)
-                self._file.seek(scan.valid_end)
-                self._size = scan.valid_end
-            self._file.flush()
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot open delta log {path}: {exc}") from exc
-
-    @property
-    def size(self) -> int:
-        """On-disk size in bytes (drives the full-rewrite ratio trigger)."""
-        return self._size
-
-    def append(self, from_group: int, to_group: int,
-               changes: List[Change]) -> None:
-        """Durably append one segment covering groups [from, to]."""
-        file = self._require_open()
-        data = _frame(encode_delta_segment(from_group, to_group, changes))
-        try:
-            file.write(data)
-            file.flush()
-            if self._fsync:
-                os.fsync(file.fileno())
-        except OSError as exc:
-            # Drop the torn segment so the next append starts clean; the
-            # folded groups are still in the WAL (it is only truncated
-            # after this append succeeds), so nothing is lost.
-            try:
-                file.seek(self._size)
-                file.truncate(self._size)
-            except OSError:
-                self._file = None
-                try:
-                    file.close()
-                except OSError:
-                    pass
-            raise PersistenceError(
-                f"cannot append delta segment to {self.path}: {exc}") from exc
-        self._size += len(data)
-        self.covered_group = max(self.covered_group, to_group)
-        self.segment_count += 1
-
-    def reset(self) -> None:
-        """Truncate back to the magic header (after a full snapshot)."""
-        file = self._require_open()
-        try:
-            file.seek(len(DELTA_MAGIC))
-            file.truncate(len(DELTA_MAGIC))
-            file.flush()
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot reset delta log {self.path}: {exc}") from exc
-        self._size = len(DELTA_MAGIC)
-        self.covered_group = 0
-        self.segment_count = 0
-
-    def close(self) -> None:
-        """Flush and close (idempotent)."""
-        file = self._file
-        if file is None:
-            return
-        self._file = None
-        try:
-            file.flush()
-            file.close()
-        except OSError:
-            pass
-
-    def abandon(self) -> None:
-        """Release the file handle without flushing (crash simulation)."""
-        file, self._file = self._file, None
-        if file is not None:
-            try:
-                file.close()
-            except OSError:
-                pass
-
-    def _require_open(self) -> IO[bytes]:
-        if self._file is None:
-            raise PersistenceError(f"delta log {self.path} is closed")
-        return self._file
-
-
 # -- recovery ----------------------------------------------------------------
 
 #: Files and subdirectories only the retired subject-hash sharded layout
 #: wrote: a coordinator log beside ``shard-000``, ``shard-001``, ...
 _SHARDED_META_FILE = "meta.wal"
 _SHARDED_DIR_RE = re.compile(r"^shard-\d{3}$")
+#: The delta log earlier releases kept between snapshot and WAL.  One
+#: that is only its 8-byte magic holds nothing (every directory such a
+#: release compacted or evicted), so it is left in place and ignored.
+_DELTA_LOG_FILE = "deltas.slim"
+_DELTA_LOG_MAGIC_BYTES = 8
 
 
-def _refuse_sharded_layout(directory: str) -> None:
-    """Raise :class:`PersistenceError` if *directory* holds a sharded
-    layout, which this module cannot read; touches nothing on disk.
+def _refuse_retired_layout(directory: str) -> None:
+    """Raise :class:`PersistenceError` if *directory* holds a layout this
+    module cannot read — the retired sharded layout, or a delta log with
+    changes in it; touches nothing on disk.
 
-    Opening one as a plain directory would recover nothing and then log
-    new writes beside shards that are never read again.
+    Opening either as a plain directory would recover without what it
+    holds and then log new writes beside files that are never read again.
     """
     try:
         names = os.listdir(directory)
@@ -734,18 +505,31 @@ def _refuse_sharded_layout(directory: str) -> None:
         return
     except OSError as exc:
         raise PersistenceError(f"cannot list {directory}: {exc}") from exc
-    if _SHARDED_META_FILE not in names and not any(
+    if _SHARDED_META_FILE in names or any(
             _SHARDED_DIR_RE.match(name)
             and os.path.isdir(os.path.join(directory, name))
             for name in names):
+        raise PersistenceError(
+            f"{directory} holds a sharded store ({_SHARDED_META_FILE} or "
+            f"shard-NNN/ subdirectories), which is no longer supported. "
+            f"To migrate it, run `repro shards split {directory} --shards 1` "
+            f"with the previous release, then move the contents of "
+            f"{os.path.join(directory, 'shard-000')} up into {directory} "
+            f"and delete {os.path.join(directory, _SHARDED_META_FILE)}")
+    if _DELTA_LOG_FILE not in names:
         return
-    raise PersistenceError(
-        f"{directory} holds a sharded store ({_SHARDED_META_FILE} or "
-        f"shard-NNN/ subdirectories), which is no longer supported. "
-        f"To migrate it, run `repro shards split {directory} --shards 1` "
-        f"with the previous release, then move the contents of "
-        f"{os.path.join(directory, 'shard-000')} up into {directory} "
-        f"and delete {os.path.join(directory, _SHARDED_META_FILE)}")
+    path = os.path.join(directory, _DELTA_LOG_FILE)
+    try:
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise PersistenceError(f"cannot read {path}: {exc}") from exc
+    if size > _DELTA_LOG_MAGIC_BYTES:
+        raise PersistenceError(
+            f"{path}: a delta log an earlier release wrote, holding "
+            f"changes this release cannot read (it keeps no delta log). "
+            f"To migrate, open {directory} once with the previous release "
+            f"and compact it (TrimManager(durable=...).durability."
+            f"compact(), then close()), then open it with this release")
 
 
 class RecoveryResult(NamedTuple):
@@ -759,11 +543,8 @@ class RecoveryResult(NamedTuple):
     last_group: int             #: highest group number in the final state
     discarded_bytes: int        #: corrupt/torn WAL tail bytes ignored
     namespaces: NamespaceRegistry  #: registry with the snapshot's declarations
-    delta_segments: int = 0     #: valid delta segments folded in
-    delta_changes: int = 0      #: individual changes applied from deltas
-    covered_group: int = 0      #: highest group snapshot+deltas cover
-    #: per-stage wall-clock timings (``snapshot_s``/``deltas_s``/``wal_s``);
-    #: ``wal_s`` includes the bulk-load index build at scope exit.
+    #: per-stage wall-clock timings (``snapshot_s``/``wal_s``); ``wal_s``
+    #: includes the bulk-load index build at scope exit.
     stage_seconds: Optional[Dict[str, float]] = None
     #: the snapshot's uncompressed size in bytes (0 if none), as
     #: :func:`repro.triples.persistence.save_snapshot` returns it
@@ -775,11 +556,9 @@ def recover(directory: str,
             namespaces: Optional[NamespaceRegistry] = None) -> RecoveryResult:
     """Rebuild the durable state under *directory*.
 
-    Folds the three durable layers in order: the latest valid snapshot,
-    then every valid delta segment whose groups the snapshot does not
-    already cover, then every complete WAL group above what snapshot and
-    deltas cover — stopping at the first corrupt record in each log.
-    Adds replay through
+    Loads the latest valid snapshot, then replays every complete WAL
+    group above the group the snapshot covers, stopping at the first
+    corrupt record.  Adds replay through
     :meth:`~repro.triples.store.TripleStore.restore` with their logged
     sequence numbers, so the recovered store matches the crashed store's
     iteration and ``select()`` order exactly, not just its set of triples.
@@ -789,8 +568,9 @@ def recover(directory: str,
     declarations are registered into *namespaces* when given, else into a
     fresh registry; either way the populated registry is returned in the
     result, so nothing recovered is dropped.  A directory in the retired
-    sharded layout, or a snapshot an earlier release wrote, raises
-    :class:`PersistenceError` and leaves every file as it was.
+    sharded layout, a delta log holding changes, or a snapshot an earlier
+    release wrote raises :class:`PersistenceError` and leaves every file
+    as it was.
 
     Runs with the cyclic collector paused
     (:func:`repro.util.heap.collector_paused`): the load allocates the
@@ -803,10 +583,10 @@ def recover(directory: str,
 @collector_paused()
 def _recover(directory: str, store: Optional[TripleStore],
              namespaces: Optional[NamespaceRegistry]
-             ) -> Tuple[RecoveryResult, WalScan, DeltaScan]:
-    """:func:`recover`, plus the log scans it took, for the log handles
-    a durable open creates next."""
-    _refuse_sharded_layout(directory)
+             ) -> Tuple[RecoveryResult, WalScan]:
+    """:func:`recover`, plus the WAL scan it took, for the log handle a
+    durable open creates next."""
+    _refuse_retired_layout(directory)
     store = store if store is not None else TripleStore()
     if len(store):
         raise PersistenceError("recovery target store must be empty")
@@ -825,37 +605,17 @@ def _recover(directory: str, store: Optional[TripleStore],
         snapshot_triples = len(store)
         snapshot_bytes = snapshot.raw_bytes
     t_snapshot = time.perf_counter()
-    delta_scan = scan_deltas(os.path.join(directory, DELTAS_FILE))
     scan = scan_wal(os.path.join(directory, WAL_FILE))
-    covered = snapshot_group
-    delta_segments = 0
-    delta_changes = 0
     groups_replayed = 0
     changes_replayed = 0
-    t_deltas = t_snapshot
     with store.bulk():
         # Replayed adds ride the bulk path: index maintenance happens in
         # one pass at exit instead of per change.  Removals flush first,
         # so mixed groups replay exactly as they would per-op.
-        for segment in delta_scan.segments:
-            if segment.to_group <= snapshot_group:
-                # A full snapshot covers every group at or below its own,
-                # and segments never straddle it (deltas are reset after
-                # the snapshot lands) — skip whole stale segments.
-                continue
-            for change in segment.changes:
-                if change.action == "add":
-                    store.restore(change.triple, change.sequence)
-                else:
-                    store.discard(change.triple)
-            delta_segments += 1
-            delta_changes += len(segment.changes)
-            covered = max(covered, segment.to_group)
-        t_deltas = time.perf_counter()
         for group, changes in scan.groups:
-            if group <= covered:
-                continue  # already in snapshot/deltas (crash between
-                #           the covering write and the WAL truncate)
+            if group <= snapshot_group:
+                continue  # already in the snapshot (crash between its
+                #           rename and the WAL reset)
             for change in changes:
                 if change.action == "add":
                     store.restore(change.triple, change.sequence)
@@ -863,17 +623,15 @@ def _recover(directory: str, store: Optional[TripleStore],
                     store.discard(change.triple)
             groups_replayed += 1
             changes_replayed += len(changes)
-    last_group = max(covered, scan.last_group)
     t_end = time.perf_counter()
     stage_seconds = {"snapshot_s": t_snapshot - t_start,
-                     "deltas_s": t_deltas - t_snapshot,
-                     "wal_s": t_end - t_deltas}
+                     "wal_s": t_end - t_snapshot}
     result = RecoveryResult(store, snapshot_group, snapshot_triples,
-                            groups_replayed, changes_replayed, last_group,
+                            groups_replayed, changes_replayed,
+                            max(snapshot_group, scan.last_group),
                             scan.total_bytes - scan.valid_end, registry,
-                            delta_segments, delta_changes, covered,
                             stage_seconds, snapshot_bytes)
-    return result, scan, delta_scan
+    return result, scan
 
 
 # -- the durability orchestrator ---------------------------------------------
@@ -891,17 +649,14 @@ class Durability:
     directory writes a baseline snapshot immediately, so pre-existing
     triples are never invisible to recovery.
 
-    Call :meth:`commit` at user-level operation boundaries; after
-    *compact_every* committed groups the log is compacted.  Routine
-    compactions are *delta* compactions — the committed groups are
-    flattened into one fsynced segment of the delta log and the WAL is
-    truncated, at a cost proportional to the changes folded, not the
-    store size.  Once the delta log outgrows half the snapshot's
-    uncompressed size (or a fixed floor when no snapshot exists yet),
-    the next compaction is a *full rewrite*: a fresh atomic snapshot,
-    after which both the delta log and the WAL reset.  All writes go through the
-    checksummed formats in :mod:`repro.triples.persistence` and this
-    module, so a crash at any point leaves a recoverable directory.
+    Call :meth:`commit` at user-level operation boundaries.  Every
+    *compact_every* committed groups the WAL's size is weighed against
+    the snapshot's uncompressed size (or a fixed floor when the snapshot
+    is small or absent); once the WAL has outgrown it, the store is
+    rewritten into a fresh atomic snapshot and the WAL reset.  All
+    writes go through the checksummed formats in
+    :mod:`repro.triples.persistence` and this module, so a crash at any
+    point leaves a recoverable directory.
 
     Groups close only on an explicit :meth:`commit`, which writes and
     fsyncs on the caller's thread, so a commit that returns is durable.
@@ -919,63 +674,49 @@ class Durability:
         self.namespaces = namespaces
         self.compact_every = compact_every
         self._store = store
-        # Guards the commit/compaction metadata (_groups_since_snapshot)
+        # Guards the commit/compaction metadata (_groups_since_check)
         # and serializes flush-vs-compact decisions.  Lock order:
         # store lock -> this meta lock -> WAL lock, never reversed.
         self._meta_lock = threading.Lock()
         self._commits = 0
-        _refuse_sharded_layout(directory)
+        _refuse_retired_layout(directory)
         os.makedirs(directory, exist_ok=True)
         self._snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
         wal_path = os.path.join(directory, WAL_FILE)
-        deltas_path = os.path.join(directory, DELTAS_FILE)
-        had_state = (os.path.exists(self._snapshot_path)
-                     or os.path.exists(wal_path))
         self.recovered: Optional[RecoveryResult] = None
-        if had_state:
-            # The log handles reuse recovery's scans: each log is read
+        if os.path.exists(self._snapshot_path) or os.path.exists(wal_path):
+            # The log handle reuses recovery's scan: the WAL is read
             # once per open.
-            self.recovered, wal_scan, delta_scan = _recover(
-                directory, store, namespaces)
+            self.recovered, wal_scan = _recover(directory, store, namespaces)
         else:
-            wal_scan, delta_scan = scan_wal(wal_path), scan_deltas(deltas_path)
+            wal_scan = scan_wal(wal_path)
         self._wal = WriteAheadLog(wal_path, wal_scan, fsync=fsync)
-        try:
-            self._deltas = _DeltaLog(deltas_path, delta_scan, fsync=fsync)
-        except BaseException:
-            self._wal.close()
-            raise
-        self._covered_group = (self.recovered.covered_group
-                               if self.recovered is not None else 0)
         #: Uncompressed size of the snapshot on disk: the basis of the
         #: full-rewrite trigger (see :meth:`_full_rewrite_due`).
-        self._snapshot_bytes = (self.recovered.snapshot_bytes
-                                if self.recovered is not None else 0)
-        self._delta_compactions = 0
-        self._full_compactions = 0
-        if self.recovered is not None \
-                and self.recovered.covered_group > self._wal.group:
-            # Every logged group is covered: either a compaction emptied
-            # the log (every clean open after one), or a crash fell
-            # between the covering write (snapshot rename or delta
-            # append) and the log reset.  Finish any interrupted reset
-            # and fast-forward the counter, so fresh commits get numbers
-            # replay will not skip; an already-empty log costs no I/O.
-            self._wal.reset(group=self.recovered.last_group)
-        self._groups_since_snapshot = (self.recovered.groups_replayed
-                                       if self.recovered is not None else 0)
+        self._snapshot_bytes = 0
+        self._groups_since_check = 0
+        if self.recovered is not None:
+            self._snapshot_bytes = self.recovered.snapshot_bytes
+            self._groups_since_check = self.recovered.groups_replayed
+            if self.recovered.snapshot_group >= self._wal.group:
+                # Every logged group is covered: either a compaction
+                # emptied the log (every clean open after one), or a crash
+                # fell between the snapshot rename and the log reset.
+                # Finish any interrupted reset and fast-forward the
+                # counter, so fresh commits get numbers replay will not
+                # skip; an already-empty log costs no I/O.
+                self._wal.reset(group=self.recovered.last_group)
         self._closed = False
         self._unsubscribe = store.add_listener(self._on_change)
         try:
-            if not had_state and len(store):
+            if self.recovered is None and len(store):
                 self.compact()
         except BaseException:
             # Construction failed after the listener attached: detach
             # it so later store mutations don't feed a half-built,
-            # closed-over handle, and release the log files.
+            # closed-over handle, and release the log file.
             self._detach()
             self._wal.close()
-            self._deltas.close()
             raise
 
     @property
@@ -989,25 +730,11 @@ class Durability:
         return self._wal.dirty
 
     @property
-    def groups_since_snapshot(self) -> int:
-        """Committed groups accumulated since the last compaction
-        (delta or full)."""
-        return self._groups_since_snapshot
-
-    @property
-    def covered_group(self) -> int:
-        """Highest WAL group the snapshot + delta log durably cover."""
-        return self._covered_group
-
-    @property
-    def delta_log_bytes(self) -> int:
-        """On-disk size of the delta log."""
-        return self._deltas.size
-
-    @property
-    def compaction_counts(self) -> Tuple[int, int]:
-        """``(delta, full)`` compactions performed by this handle."""
-        return (self._delta_compactions, self._full_compactions)
+    def groups_since_check(self) -> int:
+        """Committed groups since the full-rewrite trigger was last
+        weighed (by a rewrite, or by a routine :meth:`delta_compact`
+        that found none due)."""
+        return self._groups_since_check
 
     @property
     def commits_requested(self) -> int:
@@ -1024,8 +751,8 @@ class Durability:
         """Close the current group; ``False`` when nothing changed.
 
         Makes every change since the previous commit durable as one
-        atomic group (one WAL write + fsync on this thread); triggers
-        compaction after ``compact_every`` groups.
+        atomic group (one WAL write + fsync on this thread); runs
+        :meth:`delta_compact` after ``compact_every`` groups.
         """
         if self._closed:
             raise PersistenceError("durability handle is closed")
@@ -1033,18 +760,20 @@ class Durability:
         if changed:
             with self._meta_lock:
                 self._commits += 1
-            self._maybe_compact()
+                due = self._groups_since_check >= self.compact_every
+            if due:
+                self.delta_compact()
         return changed
 
     def compact(self) -> None:
         """Full rewrite: fold everything into a fresh atomic snapshot,
-        then reset the delta log and the WAL.
+        then reset the WAL.
 
         Ordering is crash-safe at every step by the monotone-group
         argument: the snapshot (recording the covered group number) is
-        fsynced and renamed into place *before* either log is truncated.
-        A crash in between leaves delta segments / WAL groups that the
-        snapshot already covers; recovery skips them by group number.
+        fsynced and renamed into place *before* the WAL is truncated.
+        A crash in between leaves WAL groups that the snapshot already
+        covers; recovery skips them by group number.
 
         Runs under the store lock so the snapshot writer never iterates
         a store mid-mutation, then the meta lock — consistent with the
@@ -1060,44 +789,35 @@ class Durability:
             self._snapshot_bytes = persistence.save_snapshot(
                 self._store, self._snapshot_path, self.namespaces,
                 group=self._wal.group)
-            self._deltas.reset()
             self._wal.reset()
-            self._covered_group = self._wal.group
-            self._groups_since_snapshot = 0
-            self._full_compactions += 1
+            self._groups_since_check = 0
 
     def delta_compact(self) -> bool:
-        """Routine compaction: fold committed WAL groups into one delta
-        segment and truncate the WAL — O(changes folded), no store lock.
+        """The routine compaction step: a full rewrite if the WAL has
+        outgrown the trigger (:meth:`_full_rewrite_due`); returns
+        whether it rewrote.
 
-        The segment is fsynced *before* the WAL truncate, so a crash in
-        between leaves covered groups in the WAL that recovery skips by
-        number.  Returns ``False`` without writing when there is nothing
-        new to fold.
+        Never *blocks* on the store lock.  A commit must not stall
+        behind another thread's bulk ingest or ``Batch``, which holds
+        the store lock for its whole duration, so when the store is busy
+        the rewrite is deferred to the next commit.  The name is the
+        retired delta log's; it stays until the perfbench span
+        ``wal.delta_compact`` that wraps this method is re-pointed.
         """
         if self._closed:
             raise PersistenceError("durability handle is closed")
         with self._meta_lock:
-            return self._delta_compact_meta_locked()
-
-    def _delta_compact_meta_locked(self) -> bool:
-        wal = self._wal
-        # Hold the WAL lock across scan + append + truncate so no commit
-        # interleaves with the fold (meta -> WAL is the global lock order;
-        # the store lock is never needed here).
-        with wal._lock:
-            scan = scan_wal(wal.path)
-            fresh = [(group, changes) for group, changes in scan.groups
-                     if group > self._covered_group]
-            if fresh:
-                flattened = [change for _, changes in fresh
-                             for change in changes]
-                self._deltas.append(fresh[0][0], fresh[-1][0], flattened)
-                wal.reset_to_header()
-                self._covered_group = max(self._covered_group, fresh[-1][0])
-                self._delta_compactions += 1
-            self._groups_since_snapshot = 0
-            return bool(fresh)
+            if not self._full_rewrite_due():
+                self._groups_since_check = 0
+                return False
+        lock = self._store.lock
+        if not lock.acquire(blocking=False):
+            return False
+        try:
+            self._compact_locked()
+        finally:
+            lock.release()
+        return True
 
     def close(self) -> None:
         """Detach from the store and close the log (idempotent).
@@ -1111,7 +831,6 @@ class Durability:
         self._closed = True
         self._detach()
         self._wal.close()
-        self._deltas.close()
 
     def __del__(self) -> None:
         try:
@@ -1138,7 +857,6 @@ class Durability:
                 file.close()
             except OSError:
                 pass
-        self._deltas.abandon()
 
     # -- internals -----------------------------------------------------------
 
@@ -1163,58 +881,28 @@ class Durability:
             if self._wal.dirty == 0:
                 return False
             self._wal.commit()
-            self._groups_since_snapshot += 1
+            self._groups_since_check += 1
             return True
 
-    def _maybe_compact(self) -> None:
-        """Compact when due — without ever *blocking* on the store lock.
-
-        A commit must not stall behind another thread's bulk ingest or
-        ``Batch``, which holds the store lock for its whole
-        duration, and a committer waiting on it would turn one fsync
-        into a wait for someone else's ingest.  When the store is busy
-        the full rewrite is simply deferred to the next commit.
-
-        Routine housekeeping is a delta compaction — O(changes since the
-        last compact) and needing no store lock at all, so a commit
-        never stalls on store size.  A full snapshot rewrite happens only
-        once the delta log outgrows ``_DELTA_RATIO`` × the snapshot (or
-        the fixed floor when no snapshot exists yet).
-        """
-        with self._meta_lock:
-            due = self._groups_since_snapshot >= self.compact_every
-        if not due:
-            return
-        if not self._full_rewrite_due():
-            self.delta_compact()
-            return
-        lock = self._store.lock
-        if not lock.acquire(blocking=False):
-            return
-        try:
-            self._compact_locked()
-        finally:
-            lock.release()
-
-    #: Below this delta-log size a full rewrite is never ratio-triggered —
-    #: small stores would otherwise rewrite constantly (any delta log
-    #: dwarfs a tiny snapshot).
+    #: Below this WAL size a full rewrite is never ratio-triggered —
+    #: small stores would otherwise rewrite constantly (any log dwarfs a
+    #: tiny snapshot).
     _DELTA_FLOOR_BYTES = 64 * 1024
-    #: Above the floor, a full rewrite is due once the delta log
-    #: outgrows this fraction of the snapshot's uncompressed size.
+    #: Above the floor, a full rewrite is due once the WAL outgrows this
+    #: fraction of the snapshot's uncompressed size.
     _DELTA_RATIO = 0.5
 
     def _full_rewrite_due(self) -> bool:
-        """Whether the delta log has outgrown the snapshot it amends.
+        """Whether the WAL has outgrown the snapshot it amends.
 
-        The snapshot counts at its *uncompressed* size: the delta log is
+        The snapshot counts at its *uncompressed* size: the WAL is
         stored raw, and measured against the ~3x smaller compressed
         file the trigger would fire ~3x as often, rewriting the whole
         store for the same amount of change.
         """
         threshold = max(self._DELTA_FLOOR_BYTES,
                         self._DELTA_RATIO * self._snapshot_bytes)
-        return self._deltas.size > threshold
+        return self._wal.size > threshold
 
     def _on_change(self, action: str, triple: Triple, sequence: int) -> None:
         self._wal.append(Change(action, triple, sequence))

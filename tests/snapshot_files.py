@@ -1,14 +1,20 @@
-"""Snapshot files in the shapes tests need to build by hand.
+"""Snapshot and log files in the shapes tests need to build by hand.
 
 No writer for the formats earlier releases used is left in ``src/``:
-the XML text snapshot and v3 with uncompressed ``D``/``T`` segments.
-These helpers rebuild both from a store or from a current snapshot, and
-take a current snapshot apart segment by segment.
+the XML text snapshot, v3 with uncompressed ``D``/``T`` segments, and
+the delta log that sat between snapshot and WAL.  These helpers rebuild
+them from a store, from a current snapshot or from WAL changes, and take
+a current snapshot apart segment by segment.
 """
 
+import struct
 import zlib
 
-from repro.triples import persistence
+from repro.triples import persistence, wal
+
+#: The delta log's file name and magic, as earlier releases wrote them.
+DELTAS_FILE = "deltas.slim"
+DELTA_MAGIC = b"SLIMDLT1"
 
 
 def stored_segments(data):
@@ -55,3 +61,18 @@ def v2_text_snapshot(store, group=0, namespaces=None):
     header = (f"#slim-snapshot v2 group={group} bytes={len(payload)} "
               f"crc32={zlib.crc32(payload):08x}\n")
     return header.encode("ascii") + payload
+
+
+def delta_log(segments=()):
+    """A delta log as earlier releases wrote it: the magic, then one
+    CRC-framed segment per ``(from_group, to_group, changes)`` — each a
+    ``'S'`` header and the changes as length-prefixed WAL records."""
+    out = bytearray(DELTA_MAGIC)
+    for from_group, to_group, changes in segments:
+        parts = [b"S", struct.pack(">QQI", from_group, to_group, len(changes))]
+        for change in changes:
+            record = wal.encode_change(change)
+            parts += [struct.pack(">I", len(record)), record]
+        payload = b"".join(parts)
+        out += struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    return bytes(out)

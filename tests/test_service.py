@@ -32,7 +32,7 @@ from repro.service.registry import PadRegistry, valid_tenant_name
 from repro.service.server import TrimService
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, triple
-from repro.triples.wal import recover
+from repro.triples.wal import MAGIC, WAL_FILE, recover
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,8 @@ class TestPadRegistry:
         result = recover(os.path.join(str(tmp_path), "t"))
         assert result.snapshot_triples == 5
         assert result.groups_replayed == 0
-        assert result.delta_segments == 0
+        assert os.path.getsize(
+            os.path.join(str(tmp_path), "t", WAL_FILE)) == len(MAGIC)
 
     def test_stats_report_open_latency(self, tmp_path):
         registry = PadRegistry(str(tmp_path))

@@ -85,8 +85,7 @@ class TestDurableTrim:
         assert stats["groups_replayed"] == 3
         assert stats["changes_replayed"] == 3
         assert stats["snapshot_group"] == 0
-        assert set(stats["stage_seconds"]) == \
-            {"snapshot_s", "deltas_s", "wal_s"}
+        assert set(stats["stage_seconds"]) == {"snapshot_s", "wal_s"}
         again.durability.compact()
         again.close()
         compacted = TrimManager(durable=directory)

@@ -28,13 +28,13 @@ from repro.triples.trim import TrimManager
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
 from repro.triples import wal
-from repro.triples.wal import (DELTAS_FILE, MAGIC, SNAPSHOT_FILE, WAL_FILE,
-                               Durability, WriteAheadLog, decode_record,
-                               encode_change, encode_commit, recover,
-                               scan_deltas, scan_wal)
+from repro.triples.wal import (MAGIC, SNAPSHOT_FILE, WAL_FILE, Durability,
+                               WriteAheadLog, decode_record, encode_change,
+                               encode_commit, recover, scan_wal)
 from repro.util.env import env_int
 
-from tests.snapshot_files import framed, raw_segments, v2_text_snapshot
+from tests.snapshot_files import (DELTA_MAGIC, DELTAS_FILE, delta_log, framed,
+                                  raw_segments, v2_text_snapshot)
 
 CRASH_POINTS = env_int("CRASH_POINTS", 40)
 
@@ -380,18 +380,18 @@ class TestCrashInjection:
                 f"corrupt@{offset}"
 
     def test_truncation_with_snapshot_in_play(self, tmp_path):
-        """Same property when recovery stacks the WAL tail on compacted
-        state (the delta log that routine auto-compaction now writes)."""
+        """Same property when recovery stacks the WAL tail on a snapshot
+        a full rewrite wrote."""
         directory = str(tmp_path / "snap")
-        trim = TrimManager(durable=directory, compact_every=3)
+        trim = TrimManager(durable=directory, compact_every=10_000)
         wal_path = os.path.join(directory, WAL_FILE)
-        deltas_path = os.path.join(directory, DELTAS_FILE)
-        covered_state = []      # what the latest compaction covers
-        boundaries = []         # (wal size, state) since that compaction
-        for i in range(8):      # compaction fires after commits 3 and 6
+        covered_state = []      # what the latest snapshot covers
+        boundaries = []         # (wal size, state) since that snapshot
+        for i in range(8):      # rewrites after commits 3 and 6
             trim.create(f"r{i}", "p", i)
             trim.commit()
-            if trim.durability.groups_since_snapshot == 0:  # just compacted
+            if i in (2, 5):
+                trim.durability.compact()
                 covered_state = list(trim.store)
                 boundaries = []
             else:
@@ -400,17 +400,16 @@ class TestCrashInjection:
         trim.create("tail", "p", "uncommitted")
         trim.close()
         wal_bytes = open(wal_path, "rb").read()
-        deltas_bytes = open(deltas_path, "rb").read()
-        assert scan_deltas(deltas_path).segments, \
-            "script must have delta-compacted"
-        assert boundaries, "script must leave a WAL tail past the compaction"
+        snapshot_bytes = open(os.path.join(directory, SNAPSHOT_FILE),
+                              "rb").read()
+        assert boundaries, "script must leave a WAL tail past the snapshot"
         for i, offset in enumerate(range(0, len(wal_bytes) + 1, 5)):
             crash_dir = tmp_path / f"s{i}"
             crash_dir.mkdir()
-            (crash_dir / DELTAS_FILE).write_bytes(deltas_bytes)
+            (crash_dir / SNAPSHOT_FILE).write_bytes(snapshot_bytes)
             (crash_dir / WAL_FILE).write_bytes(wal_bytes[:offset])
             result = recover(str(crash_dir))
-            # A damaged/short WAL never loses the compacted groups.
+            # A damaged/short WAL never loses the snapshotted groups.
             expected = covered_state
             for size, triples in boundaries:
                 if size <= offset:
@@ -576,145 +575,102 @@ class TestSnapshotSafety:
                                                  triple("b", "p", 3)}
 
 
-class TestDeltaLogCrashInjection:
-    """Crashes inside delta compaction itself must lose nothing.
+class TestFullRewriteCrashInjection:
+    """A crash inside a full rewrite must lose nothing and apply nothing
+    twice.
 
-    The fold protocol: the segment covering fresh WAL groups is written
-    and fsynced *before* the WAL is truncated.  So the crash surface has
-    two stages — (a) a torn/corrupt segment write with the WAL intact,
-    where the CRC scan skips the damaged tail and the same groups replay
-    from the WAL; (b) a durable segment with the WAL not yet truncated,
-    where recovery skips the doubly-held groups by group number.  Either
-    way the recovered state is identical to the no-crash state, at every
-    byte offset of the segment write.
+    The rewrite protocol: the snapshot covering every committed group is
+    fsynced and renamed into place *before* the WAL is reset.  A crash in
+    between leaves a WAL whose groups the snapshot already covers, and
+    recovery must skip every one of them by group number — whatever of
+    that stale WAL survived, torn or bit-flipped at any byte.
     """
 
     @pytest.fixture(scope="class")
-    def fold(self, tmp_path_factory):
-        """Capture the file states on both sides of one delta fold."""
-        directory = str(tmp_path_factory.mktemp("delta-fold"))
-        trim = TrimManager(durable=directory, compact_every=10_000)
-        wal_path = os.path.join(directory, WAL_FILE)
-        deltas_path = os.path.join(directory, DELTAS_FILE)
-        # One already-durable segment, so the crashed write lands
-        # mid-log rather than against an empty file.
-        for i in range(3):
-            trim.create(f"a{i}", "slim:size", i)
-            trim.commit()
-        assert trim.durability.delta_compact()
-        deltas_before = open(deltas_path, "rb").read()
-        # The groups whose fold we crash: adds, a removal, and literal
-        # payloads that exercise the record codec inside the segment.
-        trim.create("s1", "slim:scrapName", "CR\rLF\nNUL\x00")
-        trim.commit()
-        trim.remove(triple("a1", "slim:size", 1))
-        trim.create("b2", "slim:bundleWeight", 70.5)
-        trim.commit()
-        wal_before = open(wal_path, "rb").read()
-        assert trim.durability.delta_compact()
-        deltas_after = open(deltas_path, "rb").read()
-        expected = list(trim.store)
-        trim.close()
-        assert deltas_after[:len(deltas_before)] == deltas_before
-        assert len(deltas_after) > len(deltas_before)
-        return deltas_before, deltas_after, wal_before, expected
-
-    def _crash_dir(self, tmp_path, name, deltas, wal):
-        crash_dir = tmp_path / name
-        crash_dir.mkdir()
-        (crash_dir / DELTAS_FILE).write_bytes(deltas)
-        (crash_dir / WAL_FILE).write_bytes(wal)
-        return str(crash_dir)
-
-    def test_torn_segment_write_replays_from_wal(self, fold, tmp_path):
-        deltas_before, deltas_after, wal_before, expected = fold
-        for offset in range(len(deltas_before), len(deltas_after) + 1):
-            directory = self._crash_dir(tmp_path, f"t{offset}",
-                                        deltas_after[:offset], wal_before)
-            result = recover(directory)
-            assert list(result.store) == expected, f"delta-truncate@{offset}"
-            if offset < len(deltas_after):
-                # Torn segment: skipped, groups came from the WAL.
-                assert result.groups_replayed == 2, f"delta-truncate@{offset}"
-            else:
-                # Complete segment: WAL groups skipped by group number.
-                assert result.groups_replayed == 0
-
-    def test_bit_flipped_segment_replays_from_wal(self, fold, tmp_path):
-        deltas_before, deltas_after, wal_before, expected = fold
-        for offset in range(len(deltas_before), len(deltas_after)):
-            damaged = bytearray(deltas_after)
-            damaged[offset] ^= 0xFF
-            directory = self._crash_dir(tmp_path, f"c{offset}",
-                                        bytes(damaged), wal_before)
-            result = recover(directory)
-            assert list(result.store) == expected, f"delta-corrupt@{offset}"
-
-    def test_durable_segment_with_untruncated_wal(self, fold, tmp_path):
-        # Stage (b): crash after the segment fsync, before the WAL
-        # truncate — the groups exist in both logs and must apply once.
-        _, deltas_after, wal_before, expected = fold
-        result = recover(self._crash_dir(tmp_path, "both",
-                                         deltas_after, wal_before))
-        assert list(result.store) == expected
-        assert result.delta_segments == 2
-        assert result.groups_replayed == 0
-
-    def test_reopen_after_torn_segment_keeps_writing(self, fold, tmp_path):
-        # A session that reopens on a crashed fold must carry on: the
-        # torn tail stays dead (never extended into validity) and new
-        # commits land after recovery of the full pre-crash state.
-        deltas_before, deltas_after, wal_before, expected = fold
-        torn = deltas_after[:len(deltas_before)
-                            + (len(deltas_after) - len(deltas_before)) // 2]
-        directory = self._crash_dir(tmp_path, "reopen", torn, wal_before)
-        trim = TrimManager(durable=directory, compact_every=10_000)
-        assert list(trim.store) == expected
-        trim.create("post-crash", "p", 1)
-        trim.commit()
-        trim.durability.delta_compact()
-        trim.close()
-        assert list(recover(directory).store) == \
-            expected + [triple("post-crash", "p", 1)]
-
-    def test_full_rewrite_crash_leaves_covered_logs_harmless(self, tmp_path):
-        # The full-rewrite analogue of stage (b): snapshot written and
-        # renamed, crash before the delta log and WAL resets — recovery
-        # must skip every stale segment and group by number.
-        directory = str(tmp_path / "full")
+    def rewrite(self, tmp_path_factory):
+        """The snapshot after one full rewrite, and the WAL before it."""
+        directory = str(tmp_path_factory.mktemp("full-rewrite"))
         trim = TrimManager(durable=directory, compact_every=10_000)
         for i in range(3):
             trim.create(f"r{i}", "p", i)
             trim.commit()
-        trim.durability.delta_compact()
-        trim.create("r3", "p", 3)
+        # Groups a double replay would visibly get wrong: a removal, a
+        # re-add at a new sequence, and literals that exercise the codec.
+        trim.remove(triple("r1", "p", 1))
+        trim.create("s1", "slim:scrapName", "CR\rLF\nNUL\x00")
+        trim.commit()
+        trim.create("r1", "p", 1)
+        trim.create("b2", "slim:bundleWeight", 70.5)
         trim.commit()
         wal_bytes = open(os.path.join(directory, WAL_FILE), "rb").read()
-        deltas_bytes = open(os.path.join(directory, DELTAS_FILE), "rb").read()
         trim.durability.compact()   # snapshot now covers everything
         snapshot_bytes = open(os.path.join(directory, SNAPSHOT_FILE),
                               "rb").read()
         expected = list(trim.store)
+        sequences = [trim.store.sequence_of(t) for t in expected]
         trim.close()
-        crash_dir = tmp_path / "crash"
+        return snapshot_bytes, wal_bytes, expected, sequences
+
+    def _crash_dir(self, tmp_path, name, snapshot_bytes, wal_bytes):
+        crash_dir = tmp_path / name
         crash_dir.mkdir()
         (crash_dir / SNAPSHOT_FILE).write_bytes(snapshot_bytes)
-        (crash_dir / DELTAS_FILE).write_bytes(deltas_bytes)
         (crash_dir / WAL_FILE).write_bytes(wal_bytes)
-        result = recover(str(crash_dir))
+        return str(crash_dir)
+
+    def test_covered_wal_groups_are_skipped(self, rewrite, tmp_path):
+        snapshot_bytes, wal_bytes, expected, sequences = rewrite
+        result = recover(self._crash_dir(tmp_path, "crash", snapshot_bytes,
+                                         wal_bytes))
         assert list(result.store) == expected
-        assert result.delta_segments == 0
+        assert [result.store.sequence_of(t) for t in result.store] == \
+            sequences
+        assert result.snapshot_group == 5
         assert result.groups_replayed == 0
+
+    def test_any_truncation_or_bit_flip_of_the_covered_wal(self, rewrite,
+                                                           tmp_path):
+        snapshot_bytes, wal_bytes, expected, _ = rewrite
+        for offset in range(len(wal_bytes) + 1):
+            directory = self._crash_dir(tmp_path, f"t{offset}",
+                                        snapshot_bytes, wal_bytes[:offset])
+            assert list(recover(directory).store) == expected, \
+                f"covered-truncate@{offset}"
+        for offset in range(len(wal_bytes)):
+            damaged = bytearray(wal_bytes)
+            damaged[offset] ^= 0xFF
+            directory = self._crash_dir(tmp_path, f"c{offset}",
+                                        snapshot_bytes, bytes(damaged))
+            assert list(recover(directory).store) == expected, \
+                f"covered-corrupt@{offset}"
+
+    def test_reopen_finishes_the_interrupted_reset(self, rewrite, tmp_path):
+        # A session that reopens on a crashed rewrite resets the covered
+        # WAL and carries on: new commits are numbered above the
+        # snapshot, so replay never skips them.
+        snapshot_bytes, wal_bytes, expected, _ = rewrite
+        directory = self._crash_dir(tmp_path, "reopen", snapshot_bytes,
+                                    wal_bytes)
+        trim = TrimManager(durable=directory, compact_every=10_000)
+        assert list(trim.store) == expected
+        assert os.path.getsize(os.path.join(directory, WAL_FILE)) == \
+            len(MAGIC)
+        trim.create("post-crash", "p", 1)
+        trim.commit()
+        assert trim.durability.group > 5
+        trim.close()
+        result = recover(directory)
+        assert list(result.store) == expected + [triple("post-crash", "p", 1)]
+        assert result.groups_replayed == 1
 
 
 class TestMixedFormatRecovery:
-    """A v3 snapshot composes with delta segments and a WAL tail, and a
-    pre-delta directory (snapshot + WAL, no deltas file) recovers as it
-    did before the delta log existed.  A snapshot an earlier release
-    wrote is refused (see :class:`TestOldSnapshotRefusal`).
+    """A v3 snapshot composes with a WAL tail.  A snapshot or a delta log
+    an earlier release wrote is refused (see
+    :class:`TestOldSnapshotRefusal`).
     """
 
-    def test_v3_snapshot_with_delta_segments_and_wal_tail(self, tmp_path):
+    def test_v3_snapshot_with_wal_tail(self, tmp_path):
         directory = str(tmp_path)
         trim = TrimManager(durable=directory, compact_every=10_000)
         for i in range(3):
@@ -724,9 +680,8 @@ class TestMixedFormatRecovery:
         trim.create("r3", "slim:size", 3)
         trim.remove(triple("r1", "slim:size", 1))
         trim.commit()
-        trim.durability.delta_compact()     # a delta segment
         trim.create("r4", "slim:size", 4)
-        trim.commit()                       # a WAL tail on top
+        trim.commit()
         expected = list(trim.store)
         sequences = [trim.store.sequence_of(t) for t in expected]
         trim.close()
@@ -734,8 +689,7 @@ class TestMixedFormatRecovery:
         assert list(result.store) == expected
         assert [result.store.sequence_of(t) for t in result.store] == sequences
         assert result.snapshot_group == 3
-        assert result.delta_segments == 1
-        assert result.groups_replayed == 1
+        assert result.groups_replayed == 2
         # And the reopened directory keeps working as a live pad.
         trim = TrimManager(durable=directory)
         assert list(trim.store) == expected
@@ -745,8 +699,8 @@ class TestMixedFormatRecovery:
         assert len(recover(directory).store) == len(expected) + 1
 
     def test_pre_delta_directory_recovers(self, tmp_path):
-        # Snapshot + WAL only — the layout every pre-delta release left
-        # behind.  Built with the deltas file removed.
+        # Snapshot + WAL only — the layout every release before the delta
+        # log left behind, and the one this release writes.
         directory = str(tmp_path)
         trim = TrimManager(durable=directory, compact_every=10_000)
         trim.create("a", "p", 1)
@@ -756,10 +710,9 @@ class TestMixedFormatRecovery:
         trim.commit()
         expected = list(trim.store)
         trim.close()
-        os.remove(os.path.join(directory, DELTAS_FILE))
+        assert not os.path.exists(os.path.join(directory, DELTAS_FILE))
         result = recover(directory)
         assert list(result.store) == expected
-        assert result.delta_segments == 0
         assert result.snapshot_group == 1
         assert result.groups_replayed == 1
 
@@ -783,23 +736,36 @@ class TestMixedFormatRecovery:
             [source.sequence_of(t) for t in source]
 
 
-def _old_format_directory(directory, form):
-    """A durable directory (snapshot, one delta segment, a WAL tail)
-    whose snapshot is then rewritten in *form*, as an earlier release
-    wrote it: ``"v2"`` (XML text) or ``"raw-v3"`` (raw ``D``/``T``)."""
+def _snapshot_and_wal_directory(directory):
+    """A durable directory: a snapshot through group 1, then groups 2
+    and 3 in the WAL.  Returns what it holds."""
     trim = TrimManager(durable=directory, compact_every=10_000)
     trim.create("r0", "slim:size", 0)
     trim.commit()
     trim.durability.compact()
     trim.create("r1", "slim:size", 1)
     trim.commit()
-    trim.durability.delta_compact()
     trim.create("r2", "slim:size", 2)
     trim.commit()
     trim.close()
+    return trim.store
+
+
+def _old_format_directory(directory, form):
+    """A durable directory as an earlier release left it: its snapshot
+    rewritten in *form* — ``"v2"`` (XML text) or ``"raw-v3"`` (raw
+    ``D``/``T``) — or, for ``"deltas"``, a delta log whose segment
+    holds group 2 (the WAL still holding it too, as after a crash
+    between the segment's fsync and the WAL truncate)."""
+    store = _snapshot_and_wal_directory(directory)
+    if form == "deltas":
+        group, changes = scan_wal(os.path.join(directory, WAL_FILE)).groups[0]
+        with open(os.path.join(directory, DELTAS_FILE), "wb") as handle:
+            handle.write(delta_log([(group, group, changes)]))
+        return
     path = os.path.join(directory, SNAPSHOT_FILE)
     if form == "v2":
-        data = v2_text_snapshot(trim.store, group=1)
+        data = v2_text_snapshot(store, group=1)
     else:
         data = framed(raw_segments(open(path, "rb").read()))
     with open(path, "wb") as handle:
@@ -811,10 +777,15 @@ def _directory_bytes(directory):
             for name in sorted(os.listdir(directory))}
 
 
+#: form -> the file the refusal must name.
+_REFUSED_FILE = {"v2": SNAPSHOT_FILE, "raw-v3": SNAPSHOT_FILE,
+                 "deltas": DELTAS_FILE}
+
+
 class TestOldSnapshotRefusal:
-    """A snapshot an earlier release wrote raises the one migration
-    error through every way a directory is opened, and the refusal
-    leaves every file in the directory byte-identical."""
+    """A snapshot or a non-empty delta log an earlier release wrote
+    raises one migration error through every way a directory is opened,
+    and the refusal leaves every file in the directory byte-identical."""
 
     def _open_trim(self, directory):
         TrimManager(durable=directory)
@@ -826,7 +797,7 @@ class TestOldSnapshotRefusal:
         finally:
             registry.close_all()
 
-    @pytest.mark.parametrize("form", ["v2", "raw-v3"])
+    @pytest.mark.parametrize("form", sorted(_REFUSED_FILE))
     @pytest.mark.parametrize("opener", ["recover", "trim", "registry"])
     def test_refused_without_touching_the_directory(self, form, opener,
                                                     tmp_path):
@@ -838,19 +809,40 @@ class TestOldSnapshotRefusal:
         with pytest.raises(PersistenceError) as excinfo:
             open_directory(directory)
         message = str(excinfo.value)
-        assert SNAPSHOT_FILE in message
+        assert _REFUSED_FILE[form] in message
         assert "earlier release" in message
         assert "previous release and compact it" in message
         assert _directory_bytes(directory) == before
 
-    @pytest.mark.parametrize("form", ["v2", "raw-v3"])
+    @pytest.mark.parametrize("form", sorted(_REFUSED_FILE))
     def test_cli_recover_exits_1(self, form, tmp_path, capsys):
         directory = str(tmp_path / "pad")
         _old_format_directory(directory, form)
         before = _directory_bytes(directory)
         assert main(["recover", directory]) == 1
-        assert "earlier release" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert _REFUSED_FILE[form] in err
+        assert "earlier release" in err
         assert _directory_bytes(directory) == before
+
+    def test_header_only_delta_log_is_ignored_and_kept(self, tmp_path):
+        # Every directory an earlier release compacted or evicted keeps a
+        # delta log that is only its magic: it holds nothing, so the
+        # directory opens on its snapshot + WAL, and the file stays.
+        directory = str(tmp_path / "pad")
+        expected = list(_snapshot_and_wal_directory(directory))
+        deltas_path = os.path.join(directory, DELTAS_FILE)
+        with open(deltas_path, "wb") as handle:
+            handle.write(DELTA_MAGIC)
+        assert list(recover(directory).store) == expected
+        trim = TrimManager(durable=directory)
+        assert list(trim.store) == expected
+        trim.create("r3", "slim:size", 3)
+        trim.commit()
+        trim.durability.compact()
+        trim.close()
+        assert open(deltas_path, "rb").read() == DELTA_MAGIC
+        assert len(recover(directory).store) == len(expected) + 1
 
 
 class TestDurabilityLifecycle:
@@ -920,17 +912,17 @@ class TestDurabilityLifecycle:
         trim.commit()
         trim.close()
         trim = TrimManager(durable=directory, compact_every=3)
-        assert trim.durability.groups_since_snapshot == 1
+        assert trim.durability.groups_since_check == 1
         trim.create("b", "p", 2)
         trim.commit()
         trim.create("c", "p", 3)
-        trim.commit()   # third group since compaction -> delta compaction
-        assert trim.durability.groups_since_snapshot == 0
-        # Routine compaction folds the groups into the delta log (no full
-        # snapshot rewrite) and truncates the WAL.
-        assert trim.durability.covered_group == 3
-        assert scan_deltas(os.path.join(directory, DELTAS_FILE)).covered_group == 3
-        assert os.path.getsize(os.path.join(directory, WAL_FILE)) == len(MAGIC)
+        trim.commit()   # third group since the open -> trigger weighed
+        assert trim.durability.groups_since_check == 0
+        # A WAL far below the floor is not rewritten: all three groups
+        # stay in the log, and no snapshot is written.
+        assert [group for group, _ in scan_wal(
+            os.path.join(directory, WAL_FILE)).groups] == [1, 2, 3]
+        assert not os.path.exists(os.path.join(directory, SNAPSHOT_FILE))
         trim.close()
         assert len(recover(directory).store) == 3
 
@@ -968,20 +960,19 @@ class TestDurabilityLifecycle:
 
 
 class TestOneScanPerOpen:
-    """A durable open reads each log once: recovery's scans are handed
-    to the log handles instead of being taken again."""
+    """A durable open reads the WAL once: recovery's scan is handed to
+    the log handle instead of being taken again."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         calls = []
-        for name in ("scan_wal", "scan_deltas"):
-            real = getattr(wal, name)
+        real = wal.scan_wal
 
-            def counting(path, _real=real, _name=name):
-                calls.append(_name)
-                return _real(path)
+        def counting(path):
+            calls.append(path)
+            return real(path)
 
-            monkeypatch.setattr(wal, name, counting)
+        monkeypatch.setattr(wal, "scan_wal", counting)
         return calls
 
     def test_durable_open_of_existing_state(self, tmp_path, scans):
@@ -992,18 +983,17 @@ class TestOneScanPerOpen:
         trim.durability.compact()
         trim.create("b", "p", 2)
         trim.commit()
-        trim.durability.delta_compact()
         trim.create("c", "p", 3)
         trim.commit()
         expected = list(trim.store)
         trim.close()
         scans.clear()
         reopened = TrimManager(durable=directory)
-        assert sorted(scans) == ["scan_deltas", "scan_wal"]
+        assert scans == [os.path.join(directory, WAL_FILE)]
         assert list(reopened.store) == expected
-        assert reopened.recovery_stats()["delta_segments"] == 1
-        assert reopened.recovery_stats()["groups_replayed"] == 1
-        # The handles opened from the shared scans keep logging.
+        assert reopened.recovery_stats()["snapshot_group"] == 1
+        assert reopened.recovery_stats()["groups_replayed"] == 2
+        # The handle opened from the shared scan keeps logging.
         reopened.create("d", "p", 4)
         reopened.commit()
         reopened.close()
@@ -1012,7 +1002,7 @@ class TestOneScanPerOpen:
 
     def test_durable_open_of_a_fresh_directory(self, tmp_path, scans):
         trim = TrimManager(durable=str(tmp_path / "fresh"))
-        assert sorted(scans) == ["scan_deltas", "scan_wal"]
+        assert len(scans) == 1
         trim.close()
 
 
@@ -1023,8 +1013,8 @@ def _uncompressed_size(path):
 
 
 class TestFullRewriteTrigger:
-    """The delta log is weighed against the snapshot's *uncompressed*
-    size, so compressing snapshots leaves the rewrite cadence alone.
+    """The WAL is weighed against the snapshot's *uncompressed* size,
+    so compressing snapshots leaves the rewrite cadence alone.
 
     The store is large enough that ``_DELTA_RATIO`` times its snapshot
     is above the fixed floor, so the ratio decides.
@@ -1034,42 +1024,115 @@ class TestFullRewriteTrigger:
 
     def _populated(self, directory):
         store = TripleStore()
-        durability = Durability(store, directory)
+        durability = Durability(store, directory, compact_every=10**9,
+                                fsync=False)
         for i in range(6000):
             store.add(triple(f"scrap-{i:05d}", "slim:scrapName",
                              f"renamed in cycle {i % 97}"))
         durability.commit()
         durability.compact()
-        return durability
+        return store, durability
 
-    def _assert_flips_at_uncompressed_basis(self, durability, directory):
+    def _assert_flips_at_uncompressed_basis(self, store, durability,
+                                            directory):
         snapshot = os.path.join(directory, SNAPSHOT_FILE)
+        wal_path = os.path.join(directory, WAL_FILE)
         raw = _uncompressed_size(snapshot)
-        threshold = int(self.RATIO * raw)
+        threshold = self.RATIO * raw
         # The ratio decides, not the floor, and the compressed file would
         # have put the threshold well below this one.
         assert threshold > Durability._DELTA_FLOOR_BYTES
         assert self.RATIO * os.path.getsize(snapshot) < threshold / 2
-        deltas = durability._deltas
-        deltas._size = threshold
-        assert not durability._full_rewrite_due()
-        deltas._size = threshold + 1
+        for cycle in range(1000):
+            if os.path.getsize(wal_path) > threshold:
+                break
+            assert not durability._full_rewrite_due()
+            for i in range(0, 6000, 60):
+                name = f"scrap-{i:05d}"
+                store.remove_matching(subject=Resource(name))
+                store.add(triple(name, "slim:scrapName", f"pass {cycle}"))
+            durability.commit()
+            assert durability._wal.size == os.path.getsize(wal_path)
+        else:
+            pytest.fail("the WAL never outgrew the threshold")
         assert durability._full_rewrite_due()
 
     def test_flips_at_uncompressed_size_after_compaction(self, tmp_path):
         directory = str(tmp_path)
-        durability = self._populated(directory)
-        self._assert_flips_at_uncompressed_basis(durability, directory)
+        store, durability = self._populated(directory)
+        self._assert_flips_at_uncompressed_basis(store, durability, directory)
         durability.close()
 
     def test_flips_at_uncompressed_size_after_reopen(self, tmp_path):
         directory = str(tmp_path)
-        self._populated(directory).close()
-        reopened = Durability(TripleStore(), directory)
+        self._populated(directory)[1].close()
+        store = TripleStore()
+        reopened = Durability(store, directory, compact_every=10**9,
+                              fsync=False)
         assert reopened.recovered.snapshot_bytes == _uncompressed_size(
             os.path.join(directory, SNAPSHOT_FILE))
-        self._assert_flips_at_uncompressed_basis(reopened, directory)
+        self._assert_flips_at_uncompressed_basis(store, reopened, directory)
         reopened.close()
+
+
+class TestRoutineRewrite:
+    """End to end through commits: a run of rename groups grows the WAL
+    past the floor, and the routine step every *compact_every* groups
+    rewrites the snapshot at the first boundary after the WAL outgrew
+    the trigger — so the WAL never holds more than the threshold plus
+    one window of groups."""
+
+    COMPACT_EVERY = 8
+
+    def test_rewrite_at_the_next_boundary_past_the_floor(self, tmp_path,
+                                                         monkeypatch):
+        directory = str(tmp_path)
+        wal_path = os.path.join(directory, WAL_FILE)
+        trim = TrimManager()
+        durability = trim.enable_durability(
+            directory, compact_every=self.COMPACT_EVERY, fsync=False)
+        for i in range(20):
+            trim.create(f"scrap-{i:02d}", "slim:scrapName", "untitled")
+        trim.commit()
+        checks = []     # (group, WAL bytes weighed, threshold, rewrote)
+        step = durability.delta_compact
+
+        def weighed():
+            threshold = max(Durability._DELTA_FLOOR_BYTES,
+                            Durability._DELTA_RATIO
+                            * durability._snapshot_bytes)
+            size = durability._wal.size
+            rewrote = step()
+            checks.append((durability.group, size, threshold, rewrote))
+            return rewrote
+
+        monkeypatch.setattr(durability, "delta_compact", weighed)
+        sizes = []
+        for n in range(1000):
+            name = f"scrap-{n % 20:02d}"
+            trim.store.remove_matching(subject=Resource(name))
+            trim.create(name, "slim:scrapName", f"renamed {n} times")
+            trim.commit()
+            sizes.append(os.path.getsize(wal_path))
+            assert sizes[-1] == durability._wal.size
+        trim.close()
+        growth = [b - a for a, b in zip(sizes, sizes[1:]) if b > a]
+        window = self.COMPACT_EVERY * max(growth)
+        # Every routine step ran on a boundary, and rewrote exactly when
+        # the WAL it weighed was over the trigger.
+        assert [group % self.COMPACT_EVERY for group, *_ in checks] == \
+            [0] * len(checks)
+        assert all(rewrote == (size > threshold)
+                   for _, size, threshold, rewrote in checks)
+        rewrites = [check for check in checks if check[3]]
+        assert len(rewrites) >= 2
+        # The small pad's snapshot keeps the threshold at the floor.
+        assert {threshold for *_, threshold, _ in checks} == \
+            {Durability._DELTA_FLOOR_BYTES}
+        assert max(sizes) <= Durability._DELTA_FLOOR_BYTES + window
+        result = recover(directory)
+        assert result.snapshot_group == rewrites[-1][0]
+        assert len(result.store) == 20
 
 
 @pytest.fixture
