@@ -150,16 +150,22 @@ def test_compaction_bounds_recovery_time(benchmark, workload, tmp_path):
     The routine step weighs the WAL every ``compact_every`` groups and
     rewrites the snapshot once the WAL is over the trigger, so the WAL a
     crash leaves holds at most the threshold plus one window's groups.
+    The session ends one group past the loop: at full scale the loop's
+    last group lands on a ``compact_every`` boundary, which would leave
+    an empty WAL and the bound unexercised.
     """
     directory = str(tmp_path / "compacting")
     trim = _durable_session(directory, workload, fsync=False,
                             compact_every=8)
+    trim.store.add(triple("subject-tail", "slim:p0", "mid-window"))
+    trim.commit()
     trim.close()
     wal_path = os.path.join(directory, WAL_FILE)
     wal_bytes = os.path.getsize(wal_path)
     recover_s, result = run_once(
         benchmark, lambda: _timed(lambda: recover(directory)))
-    assert len(result.store) == len(set(workload))
+    assert len(result.store) == len(set(workload)) + 1
+    assert result.groups_replayed >= 1
     threshold = max(Durability._DELTA_FLOOR_BYTES,
                     Durability._DELTA_RATIO * result.snapshot_bytes)
     window = 8 * max((_group_bytes(group, changes)

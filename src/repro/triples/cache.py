@@ -12,9 +12,9 @@ a :meth:`~repro.triples.query.Query.cache_key` or a
 read patterns its fill issued against the store, ``None`` standing for a
 wildcard: a select records its own pattern, a query every ``match`` it
 runs and every ``count`` its planner runs, a view every
-``select(subject=...)`` of its BFS.  A read fixing subject and value but
-not property is served (and counted) from the smaller of the subject and
-value buckets, so it records both single-field patterns instead.
+``select(subject=...)`` of its BFS.  Each read's result and count depend
+only on the triples matching its own pattern, so that pattern is all it
+records.
 
 Invalidation.  The cache listens to the store's change stream.  A changed
 triple ``(s, p, v)`` matches exactly eight patterns — each field either
@@ -70,11 +70,7 @@ class _RecordingStore:
         self.patterns: Set[ReadPattern] = set()
 
     def _note(self, subject, prop, value) -> None:
-        if prop is None and subject is not None and value is not None:
-            self.patterns.add((subject, None, None))
-            self.patterns.add((None, None, value))
-        else:
-            self.patterns.add((subject, prop, value))
+        self.patterns.add((subject, prop, value))
 
     def match(self, subject=None, property=None, value=None):
         self._note(subject, property, value)

@@ -52,7 +52,7 @@ dictionary and row chunk zlib-compressed (level 1).  The loader verifies
 each segment's checksum, inflates and decodes the dictionary once, and
 hands the dictionary and integer rows to
 :meth:`~repro.triples.store.TripleStore.restore_rows`, which builds the
-membership map and all five indexes in one pass.  :func:`save_snapshot`
+membership map and all four indexes in one pass.  :func:`save_snapshot`
 returns, and :func:`load_snapshot` reports, the snapshot's
 *uncompressed* size — the durability layer's full-rewrite trigger is
 defined on it.  A snapshot an earlier release wrote (the XML text form,

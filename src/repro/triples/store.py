@@ -6,14 +6,16 @@ Query is specified by selection, where one or more of the triple fields is
 fixed, and the result is a set of triples."*
 
 :class:`TripleStore` implements exactly that surface plus the plumbing a
-real store needs: three single-field hash indexes (subject / property /
-value) and two compound indexes — ``(subject, property)`` and
-``(property, value)`` — covering the two-field selections that dominate
-DMI traffic (``value_of``/``values_of`` and type-extent scans), change
-listeners (used by the undo log), a :meth:`count` statistics method that
-the query planner reads bucket sizes from, a monotonically increasing
-:attr:`generation` counter that views key their caches on, and a size
-estimator used by the space-overhead benchmark (claim C-1).
+real store needs: two single-field hash indexes (subject / property) and
+two compound indexes — ``(subject, property)`` and ``(property, value)``
+— covering the two-field selections that dominate DMI traffic
+(``value_of``/``values_of`` and type-extent scans), change listeners
+(used by the undo log), an exact :meth:`count` that the query planner
+reads, a monotonically increasing :attr:`generation` counter that views
+key their caches on, and a size estimator used by the space-overhead
+benchmark (claim C-1).  A selection fixing only the value probes its
+``(property, value)`` bucket under each property; real pads have a dozen
+properties or fewer.
 
 Concurrency model (DESIGN.md §10): every mutation runs under one
 re-entrant store lock; reads take no lock at all.  During a :meth:`bulk`
@@ -91,7 +93,8 @@ class BulkLoad:
 
 
 class TripleStore:
-    """A set of triples with hash indexes on each field and field pair.
+    """A set of triples with hash indexes on subject, property and the
+    ``(subject, property)`` and ``(property, value)`` pairs.
 
     The store has *set semantics*: adding a triple twice is a no-op and
     :meth:`add` reports whether the triple was new.  Iteration order is the
@@ -120,10 +123,9 @@ class TripleStore:
         self._generation = 0
         self._by_subject: Dict[Resource, Set[Triple]] = {}
         self._by_property: Dict[Resource, Set[Triple]] = {}
-        self._by_value: Dict[Node, Set[Triple]] = {}
         # Compound indexes: the two pairs that real traffic fixes together.
-        # (subject, value) without property is rare enough to stay on the
-        # single-field indexes.
+        # A value-only read probes (property, value) once per property; a
+        # (subject, value) read filters the subject bucket.
         self._by_subject_property: Dict[Tuple[Resource, Resource], Set[Triple]] = {}
         self._by_property_value: Dict[Tuple[Resource, Node], Set[Triple]] = {}
         self._listeners: List[ChangeListener] = []
@@ -230,13 +232,11 @@ class TripleStore:
         if self.concurrent:
             self._publish_indexed(pending)
         else:
-            by_s, by_p, by_v = (self._by_subject, self._by_property,
-                                self._by_value)
+            by_s, by_p = self._by_subject, self._by_property
             by_sp, by_pv = self._by_subject_property, self._by_property_value
             for t, _ in pending:
                 by_s.setdefault(t.subject, set()).add(t)
                 by_p.setdefault(t.property, set()).add(t)
-                by_v.setdefault(t.value, set()).add(t)
                 by_sp.setdefault((t.subject, t.property), set()).add(t)
                 by_pv.setdefault((t.property, t.value), set()).add(t)
         self._generation += len(pending)
@@ -257,7 +257,6 @@ class TripleStore:
         for index, key_of in (
                 (self._by_subject, lambda t: t.subject),
                 (self._by_property, lambda t: t.property),
-                (self._by_value, lambda t: t.value),
                 (self._by_subject_property,
                  lambda t: (t.subject, t.property)),
                 (self._by_property_value,
@@ -358,51 +357,13 @@ class TripleStore:
         self._read_barrier()
         return self._triples.items()
 
-    def restore_all(self, items: Iterable[Tuple[Triple, int]]) -> int:
-        """Batch :meth:`restore`: insert many (triple, sequence) pairs.
-
-        Semantically N ``restore`` calls — same listener events, same
-        final ordering — but the ordered membership map is rebuilt at
-        most once, so migrating a block of old-sequence triples into a
-        store with a higher tail costs one O(n log n) pass instead of
-        one per triple.  Returns how many were new.
-        """
-        with self._lock:
-            if self._pending is not None:
-                added = 0
-                for triple, sequence in items:
-                    added += self.restore(triple, sequence)
-                return added
-            accepted: List[Tuple[Triple, int]] = []
-            tail = (next(reversed(self._triples.values()))
-                    if self._triples else -1)
-            out_of_order = False
-            for triple, sequence in items:
-                if triple in self._triples:
-                    continue
-                self._triples[triple] = sequence
-                if sequence < tail:
-                    out_of_order = True
-                else:
-                    tail = sequence
-                self._sequence = max(self._sequence, sequence + 1)
-                accepted.append((triple, sequence))
-            if out_of_order:
-                self._triples = dict(
-                    sorted(self._triples.items(), key=lambda item: item[1]))
-            for triple, sequence in accepted:
-                self._generation += 1
-                self._index_insert(triple)
-                self._notify("add", triple, sequence)
-            return len(accepted)
-
     def restore_rows(self, nodes: List[Node],
                      rows: Iterable[Tuple[int, int, int, int]]) -> int:
         """Bulk-restore dictionary-encoded rows (binary snapshot fast path).
 
         The v3 snapshot loader hands over its decoded string dictionary
         and integer ``(subject-id, property-id, value-id, sequence)``
-        rows wholesale, so the whole membership map and all five indexes
+        rows wholesale, so the whole membership map and all four indexes
         are built in one tight pass over local containers — no per-row
         lock round trip, no pending buffer, no listener bookkeeping.
         All-or-nothing: a bad row (id out of bounds, literal where a
@@ -428,7 +389,6 @@ class TripleStore:
             members: Dict[Triple, int] = {}
             by_s: Dict[Resource, Set[Triple]] = {}
             by_p: Dict[Resource, Set[Triple]] = {}
-            by_v: Dict[Node, Set[Triple]] = {}
             by_sp: Dict[Tuple[Resource, Resource], Set[Triple]] = {}
             by_pv: Dict[Tuple[Resource, Node], Set[Triple]] = {}
             tail = -1
@@ -467,10 +427,6 @@ class TripleStore:
                 if bucket is None:
                     by_p[prop] = bucket = set()
                 bucket.add(t)
-                bucket = by_v.get(value)
-                if bucket is None:
-                    by_v[value] = bucket = set()
-                bucket.add(t)
                 pair = (subject, prop)
                 bucket = by_sp.get(pair)
                 if bucket is None:
@@ -487,7 +443,6 @@ class TripleStore:
             self._triples = members
             self._by_subject = by_s
             self._by_property = by_p
-            self._by_value = by_v
             self._by_subject_property = by_sp
             self._by_property_value = by_pv
             self._sequence = max(self._sequence, top + 1)
@@ -498,7 +453,7 @@ class TripleStore:
         """Insert many triples; return how many were new.
 
         Batch fast path: indexes and locals are bound once, each new triple
-        costs one membership probe plus five bucket inserts, and the
+        costs one membership probe plus four bucket inserts, and the
         listener fan-out is skipped entirely when nobody is subscribed.
         Listeners (when present) still see every insertion individually, so
         undo logs and batches observe the same events as N ``add`` calls.
@@ -537,8 +492,7 @@ class TripleStore:
                     for t, sequence in accepted:
                         self._notify("add", t, sequence)
                 return len(accepted)
-            by_s, by_p, by_v = (self._by_subject, self._by_property,
-                                self._by_value)
+            by_s, by_p = self._by_subject, self._by_property
             by_sp, by_pv = self._by_subject_property, self._by_property_value
             notify = self._notify if self._listeners else None
             added = 0
@@ -550,7 +504,6 @@ class TripleStore:
                 self._sequence += 1
                 by_s.setdefault(t.subject, set()).add(t)
                 by_p.setdefault(t.property, set()).add(t)
-                by_v.setdefault(t.value, set()).add(t)
                 by_sp.setdefault((t.subject, t.property), set()).add(t)
                 by_pv.setdefault((t.property, t.value), set()).add(t)
                 added += 1
@@ -573,7 +526,6 @@ class TripleStore:
             discard = self._index_discard
             discard(self._by_subject, triple.subject, triple)
             discard(self._by_property, triple.property, triple)
-            discard(self._by_value, triple.value, triple)
             discard(self._by_subject_property,
                     (triple.subject, triple.property), triple)
             discard(self._by_property_value,
@@ -597,9 +549,11 @@ class TripleStore:
         Batched removal fast path: the victims are materialized once
         (single-threaded match() iterates live index buckets, so this must
         happen before the first removal mutates them), then dropped with
-        bound locals — one membership pop plus five bucket discards each,
-        instead of a full :meth:`remove` call per triple.  Listeners still see every
-        removal individually, in match order.
+        bound locals — one membership pop plus four bucket discards each,
+        instead of a full :meth:`remove` call per triple.  A value-only
+        selection collects its victims from the ``(property, value)``
+        buckets.  Listeners still see every removal individually, in match
+        order.
         """
         with self._lock:
             if self._pending:
@@ -608,8 +562,7 @@ class TripleStore:
             if not victims:
                 return 0
             members = self._triples
-            by_s, by_p, by_v = (self._by_subject, self._by_property,
-                                self._by_value)
+            by_s, by_p = self._by_subject, self._by_property
             by_sp, by_pv = self._by_subject_property, self._by_property_value
             discard = self._index_discard
             notify = self._notify if self._listeners else None
@@ -617,7 +570,6 @@ class TripleStore:
                 sequence = members.pop(t)
                 discard(by_s, t.subject, t)
                 discard(by_p, t.property, t)
-                discard(by_v, t.value, t)
                 discard(by_sp, (t.subject, t.property), t)
                 discard(by_pv, (t.property, t.value), t)
                 self._generation += 1
@@ -628,7 +580,7 @@ class TripleStore:
     def clear(self) -> None:
         """Delete every triple (listeners see each removal).
 
-        One-pass reset: the membership map and all five indexes are dropped
+        One-pass reset: the membership map and all four indexes are dropped
         wholesale instead of N ``remove`` calls doing per-bucket cleanup.
         Listeners are still notified once per removed triple (in insertion
         order), so undo logs can restore the contents.
@@ -642,7 +594,6 @@ class TripleStore:
             self._triples = {}
             self._by_subject = {}
             self._by_property = {}
-            self._by_value = {}
             self._by_subject_property = {}
             self._by_property_value = {}
             self._generation += len(victims)
@@ -656,11 +607,12 @@ class TripleStore:
               value: Optional[Node] = None) -> Iterator[Triple]:
         """Yield triples matching the fixed fields (``None`` = wildcard).
 
-        The narrowest applicable index drives the iteration — an exact
-        compound bucket when ``(subject, property)`` or
-        ``(property, value)`` are fixed together, a membership probe when
-        all three are fixed — and any remaining fixed field is checked per
-        candidate.  With no field fixed this iterates the whole store.
+        One index source drives the iteration — an exact compound bucket
+        when ``(subject, property)`` or ``(property, value)`` are fixed
+        together, a membership probe when all three are fixed, else the
+        source :meth:`_candidates` picks — and any remaining fixed field
+        is checked per candidate.  With no field fixed this iterates the
+        whole store.
 
         During a :meth:`bulk` load the owner thread flushes pending
         inserts first, so its selections never observe stale indexes;
@@ -759,12 +711,12 @@ class TripleStore:
               value: Optional[Node] = None) -> int:
         """How many triples match the selection, without materializing it.
 
-        Exact and O(1) for every combination an index covers: no fields
-        (store size), any single field, ``(subject, property)``,
-        ``(property, value)``, and all three (membership probe).  The one
-        uncovered combination, ``(subject, value)``, returns the smaller
-        single-field bucket size — an upper bound, which is the right
-        direction for a planner estimate.
+        Exact for every combination.  O(1) where an index covers it: no
+        fields (store size), subject, property, ``(subject, property)``,
+        ``(property, value)``, and all three (membership probe).  A value
+        alone sums its ``(property, value)`` buckets, one probe per
+        property; ``(subject, value)`` counts the subject bucket's triples
+        holding the value.
         """
         self._read_barrier()
         if subject is not None and property is not None and value is not None:
@@ -774,14 +726,16 @@ class TripleStore:
         if property is not None and value is not None:
             return len(self._by_property_value.get((property, value), _EMPTY))
         if subject is not None and value is not None:
-            return min(len(self._by_subject.get(subject, _EMPTY)),
-                       len(self._by_value.get(value, _EMPTY)))
+            return sum(t.value == value for t in self._stable(
+                self._by_subject.get(subject, _EMPTY)))
         if subject is not None:
             return len(self._by_subject.get(subject, _EMPTY))
         if property is not None:
             return len(self._by_property.get(property, _EMPTY))
         if value is not None:
-            return len(self._by_value.get(value, _EMPTY))
+            by_pv = self._by_property_value
+            return sum(len(by_pv.get((prop, value), _EMPTY))
+                       for prop in self._stable(self._by_property.keys()))
         return len(self._triples)
 
     # -- inspection ----------------------------------------------------------
@@ -842,7 +796,7 @@ class TripleStore:
 
         Counts the string payload of every field of every triple (URIs and
         literal reprs) plus a fixed per-triple and per-index-entry overhead
-        — five index entries per triple (three single-field, two compound).
+        — four index entries per triple (two single-field, two compound).
         Used by the space-overhead benchmark (claim C-1); the absolute
         number is indicative, the *ratio* against a native representation
         is what the paper's trade-off discussion is about.
@@ -859,8 +813,8 @@ class TripleStore:
                 total += len(str(triple.value.value))
             total += per_triple_overhead
             count += 1
-        # Each triple appears in five index sets (3 single + 2 compound).
-        total += 5 * count * 8
+        # Each triple appears in four index sets (2 single + 2 compound).
+        total += 4 * count * 8
         return total
 
     # -- listeners -----------------------------------------------------------
@@ -895,22 +849,27 @@ class TripleStore:
     def _candidates(self, subject: Optional[Resource],
                     property: Optional[Resource],
                     value: Optional[Node]) -> Iterable[Triple]:
-        """Pick the smallest index bucket covering the fixed fields (the
-        whole membership map when none is fixed), via :meth:`_stable`.
+        """The one source for a selection no compound index answers,
+        via :meth:`_stable`: the subject bucket when the subject is fixed,
+        else the property bucket, else — a value alone — the value's
+        ``(property, value)`` buckets under a snapshot of the property
+        keys, collected up front; the whole membership map when nothing
+        is fixed.
 
         Callers that mutate while consuming must snapshot first, as
         :meth:`remove_matching` does.
         """
-        buckets: List[Iterable[Triple]] = []
         if subject is not None:
-            buckets.append(self._by_subject.get(subject, _EMPTY))
+            return self._stable(self._by_subject.get(subject, _EMPTY))
         if property is not None:
-            buckets.append(self._by_property.get(property, _EMPTY))
+            return self._stable(self._by_property.get(property, _EMPTY))
         if value is not None:
-            buckets.append(self._by_value.get(value, _EMPTY))
-        if not buckets:
-            return self._stable(self._triples.keys())
-        return self._stable(min(buckets, key=len))
+            by_pv = self._by_property_value
+            hits: List[Triple] = []
+            for prop in self._stable(self._by_property.keys()):
+                hits.extend(self._stable(by_pv.get((prop, value), _EMPTY)))
+            return hits
+        return self._stable(self._triples.keys())
 
     def _stable(self, source: Iterable[Triple]) -> Iterable[Triple]:
         """*source* itself, or a ``tuple()`` snapshot of it when a writer
@@ -928,7 +887,6 @@ class TripleStore:
     def _index_insert(self, triple: Triple) -> None:
         self._by_subject.setdefault(triple.subject, set()).add(triple)
         self._by_property.setdefault(triple.property, set()).add(triple)
-        self._by_value.setdefault(triple.value, set()).add(triple)
         self._by_subject_property.setdefault(
             (triple.subject, triple.property), set()).add(triple)
         self._by_property_value.setdefault(

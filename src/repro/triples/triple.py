@@ -9,7 +9,7 @@ either a :class:`Resource` or a :class:`Literal`.
 
 All three node types are immutable and hashable so triples can live in set-
 and dict-based indexes.  Each caches its hash in a ``_hash`` slot when it
-is built: the store probes five index buckets and a membership map per
+is built: the store probes four index buckets and a membership map per
 triple, and a Python-level hash recomputed on every probe (a triple's
 hash re-hashing its three nodes) dominated cold-open time.  Pickling and
 copying go through the constructor (``__reduce__``), so the cached value

@@ -299,19 +299,25 @@ class TestPreciseInvalidation:
         assert stats["invalidations"] == len(reads)
         assert stats["hits"] == 0 and stats["entries"] == len(reads) + 1
 
-    def test_subject_value_read_tracks_both_buckets(self):
-        # (s, _, v) is served from the smaller of the subject and value
-        # buckets; a write to either bucket drops the entry.
+    def test_subject_value_read_tracks_its_own_pattern(self):
+        # (s, _, v) records only its own pattern: writes sharing just the
+        # subject or just the value keep the entry, a match drops it.
         trim = TrimManager()
         trim.create("s", "p", "v")
         key = (Resource("s"), None, Literal("v"))
         trim.select(*key)
-        trim.create("s", "q", "w")               # subject bucket only
+        trim.create("s", "q", "w")               # same subject only
         trim.select(*key)
-        trim.create("t", "q", "v")               # value bucket only
+        trim.create("t", "q", "v")               # same value only
         trim.select(*key)
         stats = trim.cache_stats()["select_cache"]
-        assert stats["misses"] == 3 and stats["invalidations"] == 2
+        assert stats["misses"] == 1 and stats["invalidations"] == 0
+        assert stats["hits"] == 2
+        trim.create("s", "q", "v")               # matches (s, _, v)
+        assert trim.select(*key) == [triple("s", "p", "v"),
+                                     triple("s", "q", "v")]
+        stats = trim.cache_stats()["select_cache"]
+        assert stats["misses"] == 2 and stats["invalidations"] == 1
 
     def test_reachable_kept_unless_a_visited_subject_changes(self):
         trim = TrimManager()

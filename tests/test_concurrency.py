@@ -255,7 +255,7 @@ class TestConcurrentStress:
         assert set(flush_threads) == {writer_thread.ident}
 
 
-_INDEXES = ("_by_subject", "_by_property", "_by_value",
+_INDEXES = ("_by_subject", "_by_property",
             "_by_subject_property", "_by_property_value")
 
 
@@ -319,6 +319,45 @@ class TestReadersRaceInPlaceWrites:
     BASE = 2000
     WRITES = 1500
 
+    @staticmethod
+    def _race(write, checks):
+        """Run *write* on one thread and loop each of *checks* on a thread
+        of its own until *write* returns, under a 10 µs switch interval;
+        the first error any thread raised fails the test."""
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            try:
+                write()
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(check):
+            try:
+                while not done.is_set():
+                    check()
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(check,))
+                       for check in checks]
+            threads.append(threading.Thread(target=writer))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), "thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+
     def test_readers_see_before_or_after_each_write(self, store_cls):
         store = store_cls(concurrent=True)
         big, hot = Resource("big"), Resource("hot")
@@ -331,50 +370,73 @@ class TestReadersRaceInPlaceWrites:
         # bucket and in the small subject bucket alike.
         churn = [triple(hot, big, -i) for i in range(1, self.WRITES + 1)]
         universe = set(churn)
-        done = threading.Event()
-        errors = []
 
-        def writer():
-            try:
+        def write():
+            for t in churn:
+                store.add(t)
+                store.remove(t)
+
+        def check():
+            selected = store.select(property=big)
+            extra = set(selected) - base
+            assert len(selected) - len(extra) == self.BASE
+            assert len(extra) <= 1 and extra <= universe
+            matched = set(store.match(subject=hot))
+            assert anchor in matched
+            assert len(matched) <= 2 and matched - {anchor} <= universe
+            assert self.BASE <= store.count(property=big) <= self.BASE + 1
+            assert 1 <= store.count(subject=hot) <= 2
+
+        self._race(write, [check] * 3)
+        assert set(store.select(property=big)) == base
+
+    PROPERTIES = 1000
+    WAVE = 50
+
+    def test_value_only_readers_race_new_properties(self, store_cls):
+        # A value-only read walks a snapshot of the property keys and
+        # probes (property, value) under each; the writer adds and drops
+        # a property key with every write.
+        store = store_cls(concurrent=True)
+        hot, shared = Resource("hot"), Literal("shared")
+        base = {triple(f"s{i}", f"p{i}", value)
+                for i in range(self.PROPERTIES) for value in (shared, i)}
+        store.add_all(base)
+        anchor = triple(hot, "kind", shared)
+        store.add(anchor)
+        expected = {t for t in base if t.value == shared} | {anchor}
+        # Each churn triple holds a property of its own.  The writer adds
+        # a wave of them one at a time, then removes them one at a time,
+        # so at most WAVE are present and the key count keeps moving.
+        churn = [triple(hot, f"new{i}", shared) for i in range(self.WAVE)]
+        universe = set(churn)
+
+        def write():
+            for _ in range(self.WRITES // self.WAVE):
                 for t in churn:
                     store.add(t)
+                for t in churn:
                     store.remove(t)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-            finally:
-                done.set()
 
-        def reader():
-            try:
-                while not done.is_set():
-                    selected = store.select(property=big)
-                    extra = set(selected) - base
-                    assert len(selected) - len(extra) == self.BASE
-                    assert len(extra) <= 1 and extra <= universe
-                    matched = set(store.match(subject=hot))
-                    assert anchor in matched
-                    assert len(matched) <= 2 and matched - {anchor} <= universe
-                    assert self.BASE <= store.count(property=big) \
-                        <= self.BASE + 1
-                    assert 1 <= store.count(subject=hot) <= 2
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-                done.set()
+        def check_select():
+            selected = set(store.select(value=shared))
+            extra = selected - expected
+            assert expected <= selected
+            assert len(extra) <= self.WAVE and extra <= universe
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=reader) for _ in range(3)]
-            threads.append(threading.Thread(target=writer))
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads), "thread hung"
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors[0]
-        assert set(store.select(property=big)) == base
+        def check_count():
+            assert len(expected) <= store.count(value=shared) \
+                <= len(expected) + self.WAVE
+
+        def check_match():
+            matched = set(store.match(subject=hot, value=shared))
+            assert anchor in matched and matched - {anchor} <= universe
+            assert len(matched) <= 1 + self.WAVE
+
+        # One reader per read shape, so each races the writer alone.
+        self._race(write, [check_select, check_count, check_match])
+        assert set(store.select(value=shared)) == expected
+        assert store.count(value=shared) == len(expected)
 
 
 class TestCachedHashes:

@@ -214,18 +214,13 @@ class TestStatisticsParity:
             {"value": v},
             {"subject": s, "property": p},
             {"property": p, "value": v},
+            {"subject": s, "value": v},
             {"subject": s, "property": p, "value": v},
             {"subject": Resource("ghost")},
             {"property": Resource("slim:scrapName"), "value": Literal("Na 140")},
         ]
         for kwargs in cases:
             assert store.count(**kwargs) == len(store.select(**kwargs)), kwargs
-
-    def test_count_subject_value_is_upper_bound(self, store):
-        estimate = store.count(subject=Resource("b1"), value=Resource("s1"))
-        exact = len(store.select(subject=Resource("b1"),
-                                 value=Resource("s1")))
-        assert estimate >= exact
 
     def test_generation_bumps_on_every_mutation(self, empty_store):
         g0 = empty_store.generation
@@ -649,15 +644,7 @@ def _check(store, model):
             assert store.select(*pattern) == expected
             assert sorted(store.match(*pattern), key=model.seqs.__getitem__) \
                 == expected
-            subject, prop, value = pattern
-            if subject is not None and prop is None and value is not None:
-                # (subject, value) has no compound index: count is the
-                # smaller single-field bucket, an upper bound.
-                assert store.count(*pattern) == min(
-                    sum(t.subject == subject for t in order),
-                    sum(t.value == value for t in order))
-            else:
-                assert store.count(*pattern) == len(expected)
+            assert store.count(*pattern) == len(expected)
 
 
 class TestNaiveOracle:
