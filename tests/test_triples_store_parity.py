@@ -222,6 +222,12 @@ class TestStatisticsParity:
         for kwargs in cases:
             assert store.count(**kwargs) == len(store.select(**kwargs)), kwargs
 
+    def test_count_subject_value_is_upper_bound(self, store):
+        estimate = store.count(subject=Resource("b1"), value=Resource("s1"))
+        exact = len(store.select(subject=Resource("b1"),
+                                 value=Resource("s1")))
+        assert estimate >= exact
+
     def test_generation_bumps_on_every_mutation(self, empty_store):
         g0 = empty_store.generation
         t = triple("a", "p", "v")
