@@ -44,9 +44,7 @@ bench-concurrency: ## full-scale concurrency benchmark, rewrites its JSON
 
 # Regenerates BENCH_trim_caching.json at full scale: warm repeated
 # selects/queries through the read cache vs the planner-only baseline,
-# the hit rate of selects between writes to other subjects, and
-# incremental view maintenance vs full-recompute views under a mutating
-# workload.
+# and the hit rate of selects between writes to other subjects.
 bench-caching:   ## full-scale read-cache benchmark, rewrites its JSON
 	$(PY) pytest benchmarks/test_trim_caching.py --benchmark-only -q -s
 
@@ -66,7 +64,7 @@ bench-recovery:  ## full-scale cold-start recovery benchmark, rewrites its JSON
 
 # Validates the committed BENCH_summary.json headline numbers against
 # the floors the acceptance criteria promised (planner speedup, cached
-# read ratio, incremental-view ratio) — see benchmarks/check_floors.py.
+# read ratio and hit rates) — see benchmarks/check_floors.py.
 check-floors:    ## committed bench headlines >= their promised floors
 	PYTHONPATH=src python benchmarks/check_floors.py
 

@@ -51,7 +51,6 @@ HEADLINES = {
         "cached_query_speedup_x": ("cached_reads", "query_speedup_x"),
         "cached_read_hit_rate": ("cached_reads", "hit_rate"),
         "between_writes_hit_rate": ("reads_between_writes", "hit_rate"),
-        "incremental_view_speedup_x": ("incremental_views", "speedup_x"),
     },
     "trim_service": {
         "coalesce_ratio": ("write_coalescing", "coalesce_ratio"),

@@ -45,14 +45,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SUMMARY = ROOT / "BENCH_summary.json"
 
 #: (bench, headline) -> minimum committed value.  Floors trace to the
-#: issue acceptance criteria that introduced each metric: PR-1 promised
-#: the planner speedup, PR-6 the cached-read and incremental-view
-#: ratios.  Floors are set well under the measured numbers so host noise
-#: never trips them, but far above "the optimization stopped working".
+#: acceptance criteria that introduced each metric: the planner speedup
+#: and the cached-read ratio.  Floors are set well under the measured
+#: numbers so host noise never trips them, but far above "the
+#: optimization stopped working".
 FLOORS = {
     ("trim_query", "planned_query_speedup_x"): 100.0,
     ("trim_caching", "cached_query_speedup_x"): 10.0,
-    ("trim_caching", "incremental_view_speedup_x"): 5.0,
     ("trim_caching", "cached_read_hit_rate"): 0.9,
     # A write drops only the cached reads it can change, so bundle
     # selects between scrap renames keep hitting (measured 0.98).

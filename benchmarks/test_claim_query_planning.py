@@ -1,9 +1,9 @@
-"""TRIM query fast path — compound indexes, planner, and cached views.
+"""TRIM query fast path — compound indexes and the planner.
 
 Section 6 names both growth directions this bench measures: alternative
 implementation mechanisms for large data sets (storage/indexing) and
 "augmenting such interfaces with query capabilities" (the conjunctive
-engine).  Three measurements on one large generated pad workload
+engine).  Two measurements on one large generated pad workload
 (:func:`repro.workloads.generator.build_planner_store`):
 
 1. **Two-field selection** — ``value_of`` on a hub subject: the exact
@@ -12,8 +12,6 @@ engine).  Three measurements on one large generated pad workload
 2. **Adversarially-ordered conjunctive query** — the unselective pattern
    written first; planner off evaluates the written order, planner on
    reorders by index statistics.
-3. **Repeated view reads** — a generation-cached :class:`View` versus
-   recomputing the reachability closure every read.
 
 Results print via ``print_table`` (run with ``-s``) and aggregate into
 ``BENCH_trim_query.json`` at the repo root so future PRs can track the
@@ -29,9 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.triples.query import Pattern, Query, Var
-from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource
-from repro.triples.views import View, reachable_triples
 from repro.workloads.generator import PLANNER_NEEDLE, build_planner_store
 
 from benchmarks.conftest import print_table, run_once
@@ -40,7 +36,6 @@ _SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 NUM_BUNDLES = 150 if _SMOKE else 1500
 SCRAPS_PER_BUNDLE = 4 if _SMOKE else 8
 TWO_FIELD_LOOKUPS = 50 if _SMOKE else 300
-VIEW_READS = 6
 
 _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_trim_query.json"
 
@@ -154,43 +149,6 @@ def test_adversarial_conjunctive_query_planner(benchmark, store):
     assert speedup >= 5
 
 
-def test_repeated_view_reads_generation_cache(benchmark, store):
-    """Re-reading an unchanged pad: cache hits vs full recomputation."""
-    root = Resource("wl-root")
-
-    def uncached():
-        for _ in range(VIEW_READS):
-            triples = reachable_triples(store, root)
-        return triples
-
-    def cached():
-        view = View(store, root)
-        for _ in range(VIEW_READS):
-            triples = view.triples()
-        return triples
-
-    uncached_s, uncached_triples = _best_of(uncached, repeats=2)
-    cached_s, cached_triples = run_once(
-        benchmark, lambda: _best_of(cached, repeats=2))
-    assert uncached_triples == cached_triples
-    assert len(cached_triples) == len(store)  # everything hangs off the root
-
-    speedup = uncached_s / cached_s
-    _RESULTS["view_reads"] = {
-        "reads": VIEW_READS,
-        "closure_triples": len(cached_triples),
-        "uncached_s": round(uncached_s, 6),
-        "cached_s": round(cached_s, 6),
-        "speedup": round(speedup, 2),
-    }
-    print_table(
-        f"View read × {VIEW_READS} (unchanged store)",
-        ["path", "seconds", "speedup"],
-        [("recompute closure (seed)", f"{uncached_s:.6f}", "1.00x"),
-         ("generation cache", f"{cached_s:.6f}", f"{speedup:.1f}x")])
-    assert speedup >= 2
-
-
 def test_writes_trajectory_json(benchmark, store, tmp_path):
     """Aggregate the sections above into BENCH_trim_query.json.
 
@@ -198,8 +156,8 @@ def test_writes_trajectory_json(benchmark, store, tmp_path):
     a temp path instead, so the checked-in trajectory file always holds
     full-scale numbers.
     """
-    assert set(_RESULTS) == {"two_field_selection", "conjunctive_query",
-                             "view_reads"}, "earlier bench tests must run first"
+    assert set(_RESULTS) == {"two_field_selection", "conjunctive_query"}, \
+        "earlier bench tests must run first"
     json_path = (tmp_path / "BENCH_trim_query.json") if _SMOKE else _JSON_PATH
     payload = {
         "bench": "trim_query",

@@ -1,12 +1,12 @@
-"""Read-cache benchmarks: memoized selects/queries + incremental views (ISSUE 6).
+"""Read-cache benchmarks: memoized selects and queries.
 
-Three questions the cache tier answers:
+Two questions the cache tier answers:
 
 1. **Warm repeated reads** — SLIMPad browsing traffic re-runs the same
    conjunctive queries and selections over a store that mutates in
    bursts.  With the read cache a warm repeated ``TrimManager.query``
    must run >= 10x faster than the planner-only baseline
-   (``cache=False`` — the PR-1 planner evaluating the join from scratch
+   (``cache=False`` — the planner evaluating the join from scratch
    every time): a hit is one read barrier + one dict probe + one copy,
    independent of join width.  A churn pass over more distinct keys
    than the cache holds exercises the LRU so the eviction counters in
@@ -15,13 +15,10 @@ Three questions the cache tier answers:
    can change, so bundle selects interleaved one-for-one with scrap
    renames (writes to other subjects) must keep a >= 0.9 hit rate;
    invalidating every entry on every write would miss every select.
-3. **Views under mutation** — a reachability view read after every write
-   burst used to pay a full closure BFS per generation bump.  The
-   listener-maintained view applies each insert incrementally (O(1) for
-   unreachable subjects, frontier-BFS for reachable ones), so the
-   read-after-write loop must run >= 5x faster than ``incremental=False``
-   legacy views on the same op sequence — while returning the identical
-   closure.
+
+Reachability views ride the same cache (``TrimManager.reachable``);
+their served cost is measured end to end by ``perfbench`` (``review``'s
+bundle views).
 
 Results print via ``print_table`` (run with ``-s``) and aggregate into
 ``BENCH_trim_caching.json`` at the repo root.  ``BENCH_SMOKE=1`` shrinks
@@ -34,10 +31,8 @@ import time
 from pathlib import Path
 
 from repro.triples.query import Pattern, Query, Var
-from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
-from repro.triples.triple import Literal, Resource, triple
-from repro.triples.views import View
+from repro.triples.triple import Resource
 
 from benchmarks.conftest import print_table, run_once
 
@@ -52,9 +47,6 @@ INTERLEAVED_OPS = 1000 if _SMOKE else 10000
 #: LRU churn shape: distinct subject keys probed vs the cache entry cap.
 CHURN_ENTRIES = 64
 CHURN_SUBJECTS = 200 if _SMOKE else 2000
-#: View shape: reachable graph size and mutate+read round count.
-VIEW_NODES = 120 if _SMOKE else 400
-VIEW_ROUNDS = 80 if _SMOKE else 300
 _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_trim_caching.json"
 
 #: Sections accumulated by the tests below; the last test writes the file.
@@ -125,7 +117,9 @@ def test_warm_repeated_reads(benchmark):
 
     # LRU churn: more distinct keys than entries, so the eviction
     # counters below report a live bounded-cache workload.
-    churn = _seed_pad(TrimManager(cache_entries=CHURN_ENTRIES))
+    churn = TrimManager()
+    churn.cache.MAX_ENTRIES = CHURN_ENTRIES
+    _seed_pad(churn)
     for i in range(CHURN_SUBJECTS):
         churn.select(subject=Resource(f"slim:churn{i}"))
     churn_stats = churn.cache_stats()["select_cache"]
@@ -207,86 +201,13 @@ def test_selects_between_writes(benchmark):
           f"{hit_rate:.3f}")])
 
 
-def _seed_graph(store):
-    """A bundle tree: a root fanning out to VIEW_NODES nested bundles in
-    a 4-ary hierarchy, each node holding one name triple — deep enough
-    that a full closure BFS is visibly expensive."""
-    with store.bulk():
-        for i in range(VIEW_NODES):
-            parent = "slim:root" if i < 4 else f"slim:v{(i - 4) // 4}"
-            store.add(triple(parent, "slim:nestedBundle",
-                             Resource(f"slim:v{i}")))
-            store.add(triple(f"slim:v{i}", "slim:bundleName", f"node {i}"))
-    return store
-
-
-def _view_churn(store, view, rounds):
-    """The mutating read-after-write loop: each round adds one triple to
-    a reachable subject and one to an unreachable one, then reads the
-    closure; returns (seconds, final closure size)."""
-    size = 0
-    start = time.perf_counter()
-    for i in range(rounds):
-        store.add(triple(f"slim:v{i % VIEW_NODES}", "slim:note",
-                         Literal(f"edit {i}")))
-        store.add(triple(f"slim:offview{i}", "slim:note", "unrelated"))
-        size = len(view.triples())
-    return time.perf_counter() - start, size
-
-
-def test_incremental_views_under_mutation(benchmark):
-    """The second acceptance: >= 5x repeated ``View.triples()`` under a
-    mutating workload vs full-recompute (legacy) views."""
-    legacy_store = _seed_graph(TripleStore())
-    legacy_view = View(legacy_store, Resource("slim:root"),
-                       incremental=False)
-    incr_store = _seed_graph(TripleStore())
-    incr_view = View(incr_store, Resource("slim:root"))
-
-    legacy_view.triples()                         # materialize both once
-    incr_view.triples()
-    legacy_s, legacy_size = _view_churn(legacy_store, legacy_view,
-                                        VIEW_ROUNDS)
-    incr_s, incr_size = run_once(
-        benchmark, lambda: _view_churn(incr_store, incr_view, VIEW_ROUNDS))
-    assert incr_size == legacy_size               # identical closures
-
-    speedup = legacy_s / incr_s
-    if not _SMOKE:
-        assert speedup >= 5.0, \
-            f"incremental views only {speedup:.1f}x the full-recompute rate"
-
-    stats = incr_view.cache_stats()
-    assert stats["recomputes"] == 1               # the initial BFS only
-    _RESULTS["incremental_views"] = {
-        "nodes": VIEW_NODES,
-        "rounds": VIEW_ROUNDS,
-        "closure_size": incr_size,
-        "legacy_read_us": round(legacy_s / VIEW_ROUNDS * 1e6, 2),
-        "incremental_read_us": round(incr_s / VIEW_ROUNDS * 1e6, 2),
-        "speedup_x": round(speedup, 2),
-        "recomputes": stats["recomputes"],
-        "events_applied": stats["events_applied"],
-        "events_seen": stats["events_seen"],
-    }
-    print_table(
-        f"View reads under mutation ({VIEW_ROUNDS} write+read rounds, "
-        f"closure of {incr_size})",
-        ["view mode", "µs/round", "recomputes", "speedup"],
-        [("full recompute (legacy)", f"{legacy_s / VIEW_ROUNDS * 1e6:.1f}",
-          VIEW_ROUNDS, "1.0x"),
-         ("incremental", f"{incr_s / VIEW_ROUNDS * 1e6:.1f}",
-          stats["recomputes"], f"{speedup:.1f}x")])
-
-
 def test_writes_trajectory_json(benchmark, tmp_path):
     """Aggregate the sections above into BENCH_trim_caching.json.
 
     Smoke runs write to a temp path instead, so the checked-in trajectory
     file always holds full-scale numbers.
     """
-    assert set(_RESULTS) == {"cached_reads", "reads_between_writes",
-                             "incremental_views"}, \
+    assert set(_RESULTS) == {"cached_reads", "reads_between_writes"}, \
         "earlier bench tests must run first"
     json_path = ((tmp_path / "BENCH_trim_caching.json")
                  if _SMOKE else _JSON_PATH)
@@ -299,8 +220,6 @@ def test_writes_trajectory_json(benchmark, tmp_path):
             "query_ops": QUERY_OPS,
             "select_ops": SELECT_OPS,
             "interleaved_ops": INTERLEAVED_OPS,
-            "view_nodes": VIEW_NODES,
-            "view_rounds": VIEW_ROUNDS,
         },
         **_RESULTS,
     }

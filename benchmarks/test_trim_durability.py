@@ -149,34 +149,50 @@ def test_compaction_bounds_recovery_time(benchmark, workload, tmp_path):
 
     The routine step weighs the WAL every ``compact_every`` groups and
     rewrites the snapshot once the WAL is over the trigger, so the WAL a
-    crash leaves holds at most the threshold plus one window's groups.
-    The session ends one group past the loop: at full scale the loop's
-    last group lands on a ``compact_every`` boundary, which would leave
-    an empty WAL and the bound unexercised.
+    crash leaves holds at most the trigger plus one window's groups.
+    After the workload the session commits tail groups until the WAL is
+    over the trigger between two checks, and ends there: the next check
+    is still some groups away, so recovery replays nearly the most WAL
+    the bound allows.
     """
     directory = str(tmp_path / "compacting")
     trim = _durable_session(directory, workload, fsync=False,
                             compact_every=8)
-    trim.store.add(triple("subject-tail", "slim:p0", "mid-window"))
-    trim.commit()
-    trim.close()
     wal_path = os.path.join(directory, WAL_FILE)
+    durability = trim.durability
+    tail_groups = 0
+    while True:
+        trigger = max(Durability._DELTA_FLOOR_BYTES,
+                      Durability._DELTA_RATIO * durability._snapshot_bytes)
+        if os.path.getsize(wal_path) > trigger:
+            break
+        for i in range(COMMIT_EVERY):
+            trim.store.add(triple(f"subject-tail{tail_groups}", "slim:p0", i))
+        trim.commit()
+        tail_groups += 1
+    groups_to_check = 8 - durability._groups_since_check
+    trim.close()
     wal_bytes = os.path.getsize(wal_path)
     recover_s, result = run_once(
         benchmark, lambda: _timed(lambda: recover(directory)))
-    assert len(result.store) == len(set(workload)) + 1
-    assert result.groups_replayed >= 1
+    assert len(result.store) == \
+        len(set(workload)) + tail_groups * COMMIT_EVERY
+    assert 0 < groups_to_check < 8
     threshold = max(Durability._DELTA_FLOOR_BYTES,
                     Durability._DELTA_RATIO * result.snapshot_bytes)
+    assert threshold == trigger
     window = 8 * max((_group_bytes(group, changes)
                       for group, changes in scan_wal(wal_path).groups),
                      default=0)
-    assert wal_bytes <= threshold + window
+    assert threshold < wal_bytes <= threshold + window
     _RESULTS["compacted_recovery"] = {
         "compact_every": 8,
+        "tail_groups": tail_groups,
+        "groups_to_next_check": groups_to_check,
         "groups_replayed": result.groups_replayed,
         "snapshot_triples": result.snapshot_triples,
         "wal_bytes": wal_bytes,
+        "wal_trigger_bytes": int(threshold),
         "wal_bound_bytes": int(threshold + window),
         "recover_s": round(recover_s, 6),
     }
@@ -185,7 +201,9 @@ def test_compaction_bounds_recovery_time(benchmark, workload, tmp_path):
         ["metric", "value"],
         [("snapshot triples", result.snapshot_triples),
          ("WAL groups replayed", result.groups_replayed),
-         ("WAL bytes (bound)", f"{wal_bytes} ({int(threshold + window)})"),
+         ("groups to the next check", groups_to_check),
+         ("WAL bytes (trigger, bound)",
+          f"{wal_bytes} ({int(threshold)}, {int(threshold + window)})"),
          ("recover seconds", f"{recover_s:.6f}")])
 
 

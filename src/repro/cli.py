@@ -54,11 +54,6 @@ def _print_cache_stats(stats: dict) -> None:
               f"({select['hit_rate']:.1%} hit rate, "
               f"{select['entries']} entries, "
               f"avg fill {select['avg_fill_us']:.1f}us)")
-    views = stats.get("views") or {}
-    if views.get("live") or views.get("reads"):
-        print(f"  views: {views['live']} live, {views['reads']} read(s), "
-              f"{views['recomputes']} recompute(s), "
-              f"{views['events_applied']} incremental event(s) applied")
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

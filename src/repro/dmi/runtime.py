@@ -178,7 +178,7 @@ class DmiRuntime:
 
     def cache_stats(self) -> dict:
         """Read-path cache metrics for this DMI's TRIM (hit rates for
-        attribute/reference reads, view maintenance counters) — see
+        attribute/reference reads) — see
         :meth:`repro.triples.trim.TrimManager.cache_stats`."""
         return self.trim.cache_stats()
 

@@ -6,7 +6,7 @@ Public surface:
 - :class:`TripleStore` — indexed store with selection queries
 - :class:`TrimManager` — the façade DMIs program against
 - :class:`Query`, :class:`Pattern`, :class:`Var` — conjunctive queries
-- :class:`View` — reachability views
+- :func:`reachable_triples` — reachability views
 - :mod:`repro.triples.persistence` — XML save/load, atomic snapshots
 - :class:`Batch`, :class:`UndoLog` — grouped changes and undo/redo
 - :class:`WriteAheadLog`, :class:`Durability`, :func:`recover` —
@@ -25,7 +25,7 @@ from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, Change, UndoLog
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Node, Resource, Triple, triple
-from repro.triples.views import View, reachable_resources, reachable_triples
+from repro.triples.views import reachable_triples
 from repro.triples.wal import (Durability, RecoveryResult, WriteAheadLog,
                                recover)
 
@@ -49,8 +49,6 @@ __all__ = [
     "Resource",
     "Triple",
     "triple",
-    "View",
-    "reachable_resources",
     "reachable_triples",
     "Durability",
     "RecoveryResult",

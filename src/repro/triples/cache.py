@@ -53,6 +53,8 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
 
+from repro.triples.store import TripleStore
+
 __all__ = ["ReadCache"]
 
 #: A read pattern: (subject, property, value), ``None`` = wildcard.
@@ -65,7 +67,7 @@ class _RecordingStore:
 
     __slots__ = ("_store", "patterns")
 
-    def __init__(self, store: Any) -> None:
+    def __init__(self, store: TripleStore) -> None:
         self._store = store
         self.patterns: Set[ReadPattern] = set()
 
@@ -106,9 +108,14 @@ class ReadCache:
     store lock via the read barrier) always run *outside* it.
     """
 
-    def __init__(self, store: Any, max_entries: int = 1024,
-                 max_items: int = 200_000,
-                 max_result_items: int = 25_000) -> None:
+    #: Entry-count cap.
+    MAX_ENTRIES = 1024
+    #: Cap on the total size of all entries (result rows plus patterns).
+    MAX_ITEMS = 200_000
+    #: Largest single entry stored; a bigger result is returned unpinned.
+    MAX_RESULT_ITEMS = 25_000
+
+    def __init__(self, store: TripleStore) -> None:
         self._store = store
         self._lock = threading.Lock()
         # key -> (result, size, patterns); insertion order == LRU order.
@@ -118,9 +125,6 @@ class ReadCache:
         self._epoch = 0
         self._unsubscribe: Optional[Callable[[], None]] = None
         self._items = 0
-        self.max_entries = max_entries
-        self.max_items = max_items
-        self.max_result_items = max_result_items
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -137,21 +141,19 @@ class ReadCache:
         """Subscribe to the store's change stream and start caching.
 
         Drops every entry, so nothing filled while detached (or before a
-        listener-free recovery) is served.  A store without
-        ``add_listener`` cannot be attached: every read is then computed
-        fresh (counted under ``uncacheable``).  Idempotent.
+        listener-free recovery) is served.  Idempotent.
         """
-        add_listener = getattr(self._store, "add_listener", None)
-        if add_listener is None or self._unsubscribe is not None:
+        if self._unsubscribe is not None:
             return
-        unsubscribe = add_listener(self._on_change)
+        unsubscribe = self._store.add_listener(self._on_change)
         with self._lock:
             self._unsubscribe = unsubscribe
             self._reset()
 
     def detach(self) -> None:
-        """Unsubscribe and drop every entry; reads compute fresh until
-        the next :meth:`attach`.  Idempotent."""
+        """Unsubscribe and drop every entry; reads compute fresh (counted
+        under ``uncacheable``) until the next :meth:`attach`.
+        Idempotent."""
         with self._lock:
             unsubscribe, self._unsubscribe = self._unsubscribe, None
             self._reset()
@@ -185,9 +187,7 @@ class ReadCache:
         row-copying callable for query bindings).
         """
         store = self._store
-        barrier = getattr(store, "_read_barrier", None)
-        if barrier is not None:
-            barrier()
+        store._read_barrier()
         with self._lock:
             if self._unsubscribe is None:
                 self._uncacheable += 1
@@ -215,7 +215,7 @@ class ReadCache:
                 # predate it, so hand it back but never pin it.
                 self._racy_fills_skipped += 1
                 return result
-            if size > self.max_result_items:
+            if size > self.MAX_RESULT_ITEMS:
                 self._oversize_skipped += 1
                 return result
             if key in self._entries:
@@ -230,8 +230,8 @@ class ReadCache:
                 else:
                     keys.add(key)
             self._fills += 1
-            while self._entries and (len(self._entries) > self.max_entries
-                                     or self._items > self.max_items):
+            while self._entries and (len(self._entries) > self.MAX_ENTRIES
+                                     or self._items > self.MAX_ITEMS):
                 self._drop(next(iter(self._entries)))
                 self._evictions += 1
         return copy(result)
@@ -277,8 +277,8 @@ class ReadCache:
             return {
                 "entries": len(self._entries),
                 "items": self._items,
-                "max_entries": self.max_entries,
-                "max_items": self.max_items,
+                "max_entries": self.MAX_ENTRIES,
+                "max_items": self.MAX_ITEMS,
                 "hits": self._hits,
                 "misses": self._misses,
                 "invalidations": self._invalidations,

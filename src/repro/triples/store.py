@@ -10,25 +10,23 @@ real store needs: two single-field hash indexes (subject / property) and
 two compound indexes — ``(subject, property)`` and ``(property, value)``
 — covering the two-field selections that dominate DMI traffic
 (``value_of``/``values_of`` and type-extent scans), change listeners
-(used by the undo log), an exact :meth:`count` that the query planner
-reads, a monotonically increasing :attr:`generation` counter that views
-key their caches on, and a size estimator used by the space-overhead
-benchmark (claim C-1).  A selection fixing only the value probes its
-``(property, value)`` bucket under each property; real pads have a dozen
-properties or fewer.
+(which feed the undo log, the write-ahead log, the read cache and replay
+capture), an exact :meth:`count` that the query planner reads, and a
+size estimator used by the space-overhead benchmark (claim C-1).  A
+selection fixing only the value probes its ``(property, value)`` bucket
+under each property; real pads have a dozen properties or fewer.
 
 Concurrency model (DESIGN.md §10): every mutation runs under one
 re-entrant store lock; reads take no lock at all.  During a :meth:`bulk`
 load only the *owner thread* (the one that entered the bulk) flushes
 pending inserts before its reads — read-your-writes.  Every other thread
-reads the snapshot as of the last flush: the membership map, the indexes,
-and :attr:`generation` all describe the same consistent state because
-pending inserts touch none of them until the flush publishes everything
-together.  Constructing the store with ``concurrent=True`` makes reads
-iterate a one-``tuple()`` snapshot of the bucket they pick, so writers
-update buckets in place at O(1) per triple; DESIGN.md §10 gives the GIL
-argument that a reader sees each bucket before or after a write, never
-in between.
+reads the snapshot as of the last flush: the membership map and the
+indexes describe the same consistent state because pending inserts touch
+neither until the flush publishes everything together.  Constructing the
+store with ``concurrent=True`` makes reads iterate a one-``tuple()``
+snapshot of the bucket they pick, so writers update buckets in place at
+O(1) per triple; DESIGN.md §10 gives the GIL argument that a reader sees
+each bucket before or after a write, never in between.
 """
 
 from __future__ import annotations
@@ -55,8 +53,9 @@ class BulkLoad:
     """Context manager for a deferred-indexing ingest (``store.bulk()``).
 
     While active, inserts (``add``/``add_all``/``restore``) append to a
-    pending buffer only; membership, index maintenance, the generation
-    bump, and listener fan-out are all deferred and performed in one
+    pending buffer only; membership, index maintenance and listener
+    fan-out (which feeds the undo log, the write-ahead log, the read
+    cache and replay capture) are all deferred and performed in one
     bound-locals pass when the batch *flushes*.  A flush happens on
     normal exit, and early whenever an operation needs consistent indexes
     or ordered events: any selection or membership read *from the thread
@@ -101,10 +100,6 @@ class TripleStore:
     insertion order of currently present triples, which keeps persisted
     files and test output deterministic.
 
-    Every mutation bumps :attr:`generation`, so readers (notably
-    :class:`~repro.triples.views.View`) can cache derived results and
-    invalidate them with a single integer comparison.
-
     Mutations are serialized by an internal re-entrant lock (exposed as
     :attr:`lock` for callers that need a consistent multi-step read, e.g.
     snapshot writers).  Plain reads take no lock.  Pass
@@ -120,7 +115,6 @@ class TripleStore:
         # re-scanning the whole store.
         self._triples: Dict[Triple, int] = {}
         self._sequence = 0
-        self._generation = 0
         self._by_subject: Dict[Resource, Set[Triple]] = {}
         self._by_property: Dict[Resource, Set[Triple]] = {}
         # Compound indexes: the two pairs that real traffic fixes together.
@@ -202,8 +196,8 @@ class TripleStore:
 
     def _flush_bulk(self) -> None:
         """Publish every pending insert: membership first, then indexes,
-        then the generation bump, then listener fan-out — in insertion
-        order.  Callers hold the store lock.
+        then listener fan-out — in insertion order.  Callers hold the
+        store lock.
 
         The ordering matters for concurrent snapshot readers: a triple
         becomes a member before it appears in any bucket, so a reader that
@@ -239,7 +233,6 @@ class TripleStore:
                 by_p.setdefault(t.property, set()).add(t)
                 by_sp.setdefault((t.subject, t.property), set()).add(t)
                 by_pv.setdefault((t.property, t.value), set()).add(t)
-        self._generation += len(pending)
         self._bulk_seq_mark = self._sequence
         if self._listeners:
             for t, sequence in pending:
@@ -289,7 +282,6 @@ class TripleStore:
             sequence = self._sequence
             self._triples[triple] = sequence
             self._sequence += 1
-            self._generation += 1
             self._index_insert(triple)
             self._notify("add", triple, sequence)
             return True
@@ -322,7 +314,6 @@ class TripleStore:
                 self._triples = dict(
                     sorted(self._triples.items(), key=lambda item: item[1]))
             self._sequence = max(self._sequence, sequence + 1)
-            self._generation += 1
             self._index_insert(triple)
             self._notify("add", triple, sequence)
             return True
@@ -446,7 +437,6 @@ class TripleStore:
             self._by_subject_property = by_sp
             self._by_property_value = by_pv
             self._sequence = max(self._sequence, top + 1)
-            self._generation += len(members)
             return len(members)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -487,7 +477,6 @@ class TripleStore:
                 if not accepted:
                     return 0
                 self._publish_indexed(accepted)
-                self._generation += len(accepted)
                 if self._listeners:
                     for t, sequence in accepted:
                         self._notify("add", t, sequence)
@@ -508,10 +497,7 @@ class TripleStore:
                 by_pv.setdefault((t.property, t.value), set()).add(t)
                 added += 1
                 if notify is not None:
-                    self._generation += 1
                     notify("add", t, sequence)
-            if notify is None:
-                self._generation += added
             return added
 
     def remove(self, triple: Triple) -> None:
@@ -522,7 +508,6 @@ class TripleStore:
             if triple not in self._triples:
                 raise TripleNotFoundError(f"triple not in store: {triple}")
             sequence = self._triples.pop(triple)
-            self._generation += 1
             discard = self._index_discard
             discard(self._by_subject, triple.subject, triple)
             discard(self._by_property, triple.property, triple)
@@ -572,7 +557,6 @@ class TripleStore:
                 discard(by_p, t.property, t)
                 discard(by_sp, (t.subject, t.property), t)
                 discard(by_pv, (t.property, t.value), t)
-                self._generation += 1
                 if notify is not None:
                     notify("remove", t, sequence)
             return len(victims)
@@ -596,7 +580,6 @@ class TripleStore:
             self._by_property = {}
             self._by_subject_property = {}
             self._by_property_value = {}
-            self._generation += len(victims)
             for triple, sequence in victims:
                 self._notify("remove", triple, sequence)
 
@@ -694,17 +677,6 @@ class TripleStore:
         return [t.value for t in self.select(subject=subject, property=property)]
 
     # -- statistics (read by the query planner) -------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter: bumps on every add and remove.
-
-        Equal generations guarantee identical contents, so any derived
-        result (view closures, plans, materialized selections) can be
-        cached against this number.  During a bulk load the counter is
-        pinned until the flush, matching what snapshot readers see.
-        """
-        return self._generation
 
     def count(self, subject: Optional[Resource] = None,
               property: Optional[Resource] = None,

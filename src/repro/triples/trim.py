@@ -20,8 +20,6 @@ crash at any point recovers to the last :meth:`commit` boundary.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Union)
 
@@ -33,7 +31,7 @@ from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch, UndoLog
 from repro.triples.triple import (Literal, LiteralValue, Node, Resource,
                                   Triple, triple)
-from repro.triples.views import View, reachable_triples, view_key
+from repro.triples.views import reachable_triples, view_key
 from repro.triples.wal import Durability
 from repro.util.identifiers import IdGenerator
 
@@ -95,27 +93,24 @@ class TrimManager:
 
     Pass ``concurrent=True`` when reader threads query while another
     thread ingests: reads (:meth:`select`, :meth:`count`, :meth:`query`,
-    views) then run lock-free against the last-flushed snapshot and never
-    force a mid-ingest index flush; each read iterates a snapshot of the
-    index bucket it picks, so writers update buckets in place.
+    :meth:`reachable`) then run lock-free against the last-flushed
+    snapshot and never force a mid-ingest index flush; each read iterates
+    a snapshot of the index bucket it picks, so writers update buckets in
+    place.
     """
 
     def __init__(self, namespaces: Optional[NamespaceRegistry] = None,
                  durable: Optional[str] = None,
                  compact_every: int = 64,
                  concurrent: bool = False,
-                 cache: bool = True,
-                 cache_entries: int = 1024) -> None:
+                 cache: bool = True) -> None:
         self.store = TripleStore(concurrent=concurrent)
         self.namespaces = namespaces or NamespaceRegistry.with_defaults()
         self.ids = IdGenerator()
         self._undo: Optional[UndoLog] = None
         self._durability: Optional[Durability] = None
         self._cache: Optional[ReadCache] = \
-            ReadCache(self.store, max_entries=cache_entries) \
-            if cache else None
-        self._views: List["weakref.ref"] = []
-        self._views_lock = threading.Lock()
+            ReadCache(self.store) if cache else None
         if durable is not None:
             # Attaches the cache once recovery is done.
             self.enable_durability(durable, compact_every=compact_every)
@@ -266,31 +261,13 @@ class TrimManager:
 
     def reachable(self, root: Resource, follow_properties=None,
                   max_depth: Optional[int] = None) -> List[Triple]:
-        """The triples reachable from *root*
+        """Section 4.4's "simple view": the triples reachable from *root*
         (:func:`~repro.triples.views.reachable_triples`), memoized until
-        a write touches a visited resource's triples."""
+        a write touches a visited resource's triples.  Returns a copy."""
         return self.read(
             view_key(root, follow_properties, max_depth),
             lambda store: reachable_triples(store, root, follow_properties,
                                             max_depth))
-
-    def view(self, root: Resource, follow_properties=None,
-             max_depth: Optional[int] = None,
-             incremental: bool = True) -> View:
-        """A reachability view rooted at *root* (Section 4.4's "simple views").
-
-        Incrementally maintained from the store's change stream by
-        default (``incremental=False`` restores the legacy
-        recompute-on-generation-bump behaviour).  Views are tracked
-        weakly so :meth:`cache_stats` can aggregate their maintenance
-        counters without keeping transient views alive.
-        """
-        view = View(self.store, root, follow_properties, max_depth,
-                    incremental=incremental)
-        with self._views_lock:
-            self._views = [ref for ref in self._views if ref() is not None]
-            self._views.append(weakref.ref(view))
-        return view
 
     # -- cache metrics ---------------------------------------------------------
 
@@ -300,37 +277,15 @@ class TrimManager:
         return self._cache
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Read-path cache metrics: the select/query/view cache counters plus
-        aggregated maintenance counters over live views.
+        """Read-path cache metrics: the select/query/view cache counters,
+        ``None`` when the cache is off.
 
         ::
 
-            {"select_cache": {"hits": ..., "misses": ..., ...},
-             "views": {"live": 2, "reads": ..., "recomputes": ...,
-                       "events_applied": ..., ...}}
+            {"select_cache": {"hits": ..., "misses": ..., ...}}
         """
-        # Snapshot + prune under the views lock: ``view()`` on another
-        # thread (e.g. the service's read executor) rebuilds this list
-        # concurrently, and an unlocked read-modify-write here could drop
-        # its freshly registered view — or hand admin.stats a torn list.
-        with self._views_lock:
-            live = [view for view in (ref() for ref in self._views)
-                    if view is not None]
-            self._views = [weakref.ref(view) for view in live]
-        views: Dict[str, Any] = {"live": len(live), "reads": 0,
-                                 "recomputes": 0, "events_applied": 0,
-                                 "events_seen": 0, "events_queued": 0,
-                                 "overflows": 0}
-        for view in live:
-            stats = view.cache_stats()
-            for key in ("reads", "recomputes", "events_applied",
-                        "events_seen", "events_queued", "overflows"):
-                views[key] += stats[key]
-        return {
-            "select_cache": (self._cache.stats()
-                             if self._cache is not None else None),
-            "views": views,
-        }
+        return {"select_cache": (self._cache.stats()
+                                 if self._cache is not None else None)}
 
     # -- persistence ----------------------------------------------------------
 

@@ -1,27 +1,25 @@
-"""Tests for the pattern-invalidated read cache and incremental views.
+"""Tests for the pattern-invalidated read cache.
 
 The cache contract: a hit is indistinguishable from a fresh read — any
 mutation that could change an answer invalidates its entries before the
 next lookup, including writes raced across ``bulk()`` scopes,
 snapshot-isolation reads mid-ingest, durable commits and recovery — and
-a write that cannot change an answer leaves its entry cached.  The
-incremental-view contract: after any op sequence, a listener-maintained
-view equals a fresh closure recompute.
+a write that cannot change an answer leaves its entry cached.  Selects,
+queries and reachability views (``TrimManager.reachable``) all ride it;
+``tests/test_read_cache_differential.py`` checks every read against an
+uncached twin after random op sequences.
 """
 
-import gc
-import random
 import threading
 
 import pytest
 
-import repro.triples.views as views_module
 from repro.triples.cache import ReadCache
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, triple
-from repro.triples.views import View, reachable_resources, reachable_triples
+from repro.triples.views import reachable_triples
 
 
 class TestSelectCacheBasics:
@@ -51,9 +49,13 @@ class TestSelectCacheBasics:
         got = trim.select(subject=Resource("b0"))
         got.clear()
         assert len(trim.select(subject=Resource("b0"))) == 1
+        view = trim.reachable(Resource("b0"))
+        view.clear()
+        assert len(trim.reachable(Resource("b0"))) == 1
 
     def test_lru_evicts_oldest(self):
-        trim = TrimManager(cache_entries=2)
+        trim = TrimManager()
+        trim.cache.MAX_ENTRIES = 2
         for i in range(3):
             trim.create(f"s{i}", "p", i)
         trim.select(subject=Resource("s0"))
@@ -66,7 +68,8 @@ class TestSelectCacheBasics:
 
     def test_oversize_results_are_not_pinned(self):
         store = TripleStore()
-        cache = ReadCache(store, max_result_items=3)
+        cache = ReadCache(store)
+        cache.MAX_RESULT_ITEMS = 3
         cache.attach()
         for i in range(5):
             store.add(triple("s", "p", i))
@@ -90,23 +93,21 @@ class TestSelectCacheBasics:
         assert stats is not None
         assert stats["entries"] == 0 and stats["hits"] == 0
 
-    def test_duck_typed_store_is_uncacheable(self):
-        backing = TripleStore()
-        backing.add(triple("s", "p", 1))
-
-        class BareStore:
-            def select(self, subject=None, property=None, value=None):
-                return backing.select(subject, property, value)
-
-        # No change stream to listen to: attach() is a no-op and every
-        # read is computed fresh.
-        cache = ReadCache(BareStore())
+    def test_detached_cache_is_uncacheable(self):
+        store = TripleStore()
+        store.add(triple("s", "p", 1))
+        cache = ReadCache(store)
         cache.attach()
-        for _ in range(2):
-            assert len(cache.get(("select", None, None, None),
-                                 lambda reads: reads.select())) == 1
+        cache.detach()
+        key = ("select", None, None, None)
+        # Detached: nothing is cached, every read is computed fresh and
+        # sees the latest write.
+        assert len(cache.get(key, lambda reads: reads.select())) == 1
+        store.add(triple("s", "p", 2))
+        assert len(cache.get(key, lambda reads: reads.select())) == 2
         stats = cache.stats()
         assert stats["uncacheable"] == 2 and stats["entries"] == 0
+        assert stats["hits"] == 0 and stats["misses"] == 0
 
     def test_cached_value_helpers(self):
         trim = TrimManager()
@@ -340,6 +341,22 @@ class TestPreciseInvalidation:
         trim.reachable(Resource("b0"), follow[::-1])
         assert trim.cache_stats()["select_cache"]["hits"] == 2
 
+    def test_reachable_shortcut_edge_under_max_depth(self):
+        # A new edge from a visited resource can shorten the path to a
+        # node and pull one that was out of range into the closure.
+        trim = TrimManager()
+        trim.create("root", "p", Resource("x"))
+        trim.create("x", "p", Resource("y"))
+        trim.create("y", "p", Resource("z"))
+        trim.create("z", "name", "deep")
+        before = trim.reachable(Resource("root"), max_depth=2)
+        assert Resource("z") not in {t.subject for t in before}
+        trim.create("root", "p", Resource("y"))  # y now one hop out
+        after = trim.reachable(Resource("root"), max_depth=2)
+        assert triple("z", "name", "deep") in after
+        assert after == reachable_triples(trim.store, Resource("root"),
+                                          max_depth=2)
+
 
 class TestCacheAcrossRecovery:
     @staticmethod
@@ -394,167 +411,12 @@ class TestCacheAcrossRecovery:
             trim.close()
 
 
-class TestIncrementalViewMaintenance:
-    def test_add_applies_without_recompute(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        view = View(store, Resource("root"))
-        assert len(view) == 1
-        store.add(triple("a", "q", "leaf"))
-        assert len(view) == 2
-        stats = view.cache_stats()
-        assert stats["recomputes"] == 1          # only the initial BFS
-        assert stats["events_applied"] == 1
-
-    def test_unreachable_add_is_noop(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        view = View(store, Resource("root"))
-        view.triples()
-        store.add(triple("elsewhere", "p", "x"))
-        assert len(view) == 1
-        assert view.cache_stats()["recomputes"] == 1
-
-    def test_removal_inside_closure_recomputes(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        store.add(triple("a", "q", "leaf"))
-        view = View(store, Resource("root"))
-        assert len(view) == 2
-        store.remove(triple("root", "p", Resource("a")))
-        assert view.triples() == [t for t in store.select(subject=Resource("root"))]
-        assert view.cache_stats()["recomputes"] == 2
-
-    def test_removal_outside_closure_is_noop(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        store.add(triple("elsewhere", "p", "x"))
-        view = View(store, Resource("root"))
-        view.triples()
-        store.remove(triple("elsewhere", "p", "x"))
-        assert len(view) == 1
-        assert view.cache_stats()["recomputes"] == 1
-
-    def test_depth_relaxation_pulls_nodes_into_range(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("x")))
-        store.add(triple("x", "p", Resource("y")))
-        store.add(triple("y", "p", Resource("z")))
-        store.add(triple("z", "name", "deep"))
-        view = View(store, Resource("root"), max_depth=2)
-        assert Resource("z") not in view.resources()   # three hops out
-        store.add(triple("root", "p", Resource("y")))  # shortcut: y at 1
-        assert Resource("z") in view.resources()       # relaxed into range
-        expected = reachable_triples(store, Resource("root"), max_depth=2)
-        assert set(view.triples()) == set(expected)
-
-    def test_event_overflow_forces_recompute(self, monkeypatch):
-        monkeypatch.setattr(views_module, "EVENT_QUEUE_LIMIT", 4)
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        view = View(store, Resource("root"))
-        view.triples()
-        for i in range(10):
-            store.add(triple("a", "n", i))
-        assert len(view) == 11
-        stats = view.cache_stats()
-        assert stats["overflows"] == 1 and stats["recomputes"] == 2
-
-    def test_dead_views_unsubscribe_from_the_store(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        view = View(store, Resource("root"))
-        view.triples()
-        assert len(store._listeners) == 1
-        del view
-        gc.collect()
-        store.add(triple("root", "q", "poke"))   # tap sees the dead ref...
-        assert store._listeners == []            # ...and removes itself
-
-    def test_close_detaches(self):
-        store = TripleStore()
-        view = View(store, Resource("root"))
-        view.close()
-        view.close()                             # idempotent
-        assert store._listeners == []
-
-    def test_legacy_mode_still_recomputes_per_generation(self):
-        store = TripleStore()
-        store.add(triple("root", "p", Resource("a")))
-        view = View(store, Resource("root"), incremental=False)
-        assert len(view) == 1
-        assert store._listeners == []            # no tap in legacy mode
-        store.add(triple("a", "q", "leaf"))
-        assert len(view) == 2
-
-
-class TestRandomizedViewParity:
-    @pytest.mark.parametrize("seed", [2001, 2002, 2003])
-    @pytest.mark.parametrize("config", [
-        {},
-        {"max_depth": 2},
-        {"follow_properties": [Resource("p0"), Resource("p1")]},
-    ])
-    def test_incremental_view_matches_fresh_recompute(self, seed, config):
-        """Random op sequences: the listener-maintained closure equals a
-        fresh BFS after every read, with and without depth bounds and
-        property filters."""
-        store = TripleStore()
-        rng = random.Random(seed)
-        resources = [Resource(f"n{i}") for i in range(10)]
-        properties = [Resource(f"p{i}") for i in range(3)]
-        root = resources[0]
-        view = View(store, root, **config)
-        present = []
-        for step in range(300):
-            if present and rng.random() < 0.3:
-                victim = present.pop(rng.randrange(len(present)))
-                store.remove(victim)
-            else:
-                value = rng.choice(resources) if rng.random() < 0.7 \
-                    else Literal(rng.randrange(5))
-                t = triple(rng.choice(resources), rng.choice(properties),
-                           value)
-                if store.add(t):
-                    present.append(t)
-            if step % 7 == 0:
-                expected = reachable_triples(store, root, **config)
-                assert set(view.triples()) == set(expected), (seed, step)
-                assert set(view.resources()) == \
-                    set(reachable_resources(store, root, **config)), \
-                    (seed, step)
-        # Final state parity, including exact sizes (no duplicates).
-        final = view.triples()
-        assert len(final) == len(set(final))
-        assert set(final) == set(reachable_triples(store, root, **config))
-
-
-class TestTrimViewStats:
-    def test_cache_stats_aggregates_views(self):
-        trim = TrimManager()
-        trim.create("root", "p", Resource("a"))
-        trim.create("a", "q", "leaf")
-        view = trim.view(Resource("root"))
-        view.triples()
-        view.triples()
-        stats = trim.cache_stats()["views"]
-        assert stats["live"] == 1
-        assert stats["reads"] == 2 and stats["recomputes"] == 1
-        del view
-        gc.collect()
-        assert trim.cache_stats()["views"]["live"] == 0
-
-
 class TestCacheStatsConcurrency:
-    """`cache_stats()` under concurrent writers and view registration.
+    """`cache_stats()` under concurrent writers.
 
-    The service's ``admin.stats`` / ``trim.stats`` ops call
-    ``cache_stats()`` from executor threads while the tenant's writer
-    thread commits durably — the snapshot must
-    be internally consistent and must never lose a concurrently
-    registered view (the ``_views`` list is rebuilt by both ``view()``
-    and ``cache_stats()``; pre-lock, that read-modify-write could drop
-    a registration).
+    The service's ``trim.stats`` op calls ``cache_stats()`` from
+    executor threads while the tenant's writer thread commits durably —
+    each snapshot must be internally consistent.
     """
 
     def test_counter_snapshot_is_consistent_under_commits(self, tmp_path):
@@ -595,32 +457,3 @@ class TestCacheStatsConcurrency:
             t.join()
         trim.close()
         assert not failures, failures[0]
-
-    def test_concurrent_view_registration_is_never_lost(self):
-        trim = TrimManager(concurrent=True)
-        trim.create("root", "p", Resource("a"))
-        stop = threading.Event()
-        registered = []
-        failures = []
-
-        def registrar():
-            while not stop.is_set():
-                registered.append(trim.view(Resource("root")))
-
-        def poller():
-            while not stop.is_set():
-                trim.cache_stats()
-
-        threads = [threading.Thread(target=registrar) for _ in range(2)] + \
-            [threading.Thread(target=poller) for _ in range(2)]
-        for t in threads:
-            t.start()
-        stop.wait(0.8)
-        stop.set()
-        for t in threads:
-            t.join()
-        # Every strongly-held view must still be tracked: none was
-        # dropped by a racing cache_stats() rebuild of the weakref list.
-        live = trim.cache_stats()["views"]["live"]
-        assert live == len(registered), (live, len(registered))
-        assert not failures

@@ -2,8 +2,8 @@
 durability edge cases that ride along.
 
 The central contract: reader threads querying a store mid-``bulk``
-see the *last-flushed snapshot* — consistent membership, indexes, and
-generation — and never force the ingest's deferred index flush
+see the *last-flushed snapshot* — consistent membership and indexes —
+and never force the ingest's deferred index flush
 (``_flush_bulk`` runs only on the bulk-owner thread).  Durable commits
 racing from several threads each write and fsync on the caller's
 thread, so a commit that returned is in the WAL
@@ -37,7 +37,7 @@ from repro.triples.store import TripleStore
 from repro.triples.transactions import Batch
 from repro.triples.trim import TrimManager
 from repro.triples.triple import Literal, Resource, Triple, triple
-from repro.triples.views import View
+from repro.triples.views import reachable_triples
 from repro.triples.wal import (WAL_FILE, Durability, WriteAheadLog, recover,
                                scan_wal)
 
@@ -87,7 +87,6 @@ class TestSnapshotReadsDuringBulk:
         store = store_cls()
         flushed = [triple(f"s{i}", "p", i) for i in range(3)]
         store.add_all(flushed)
-        generation = store.generation
         bulk = store.bulk()
         bulk.__enter__()
         try:
@@ -98,16 +97,15 @@ class TestSnapshotReadsDuringBulk:
 
             def read():
                 return (len(store), store.select(), list(store),
-                        store.count(property=Resource("p")), store.generation)
+                        store.count(property=Resource("p")))
 
-            length, selected, iterated, counted, gen = _in_thread(read)
-            # The reader's whole world is the last flush: 3 triples,
-            # pinned generation, no trace of the 5 pending inserts.
+            length, selected, iterated, counted = _in_thread(read)
+            # The reader's whole world is the last flush: 3 triples, no
+            # trace of the 5 pending inserts.
             assert length == 3
             assert selected == flushed
             assert iterated == flushed
             assert counted == 3
-            assert gen == generation
         finally:
             bulk.__exit__(None, None, None)
         assert len(store) == 8
@@ -127,7 +125,6 @@ class TestSnapshotReadsDuringBulk:
                 assert len(store) == 4
                 assert list(store) == [triple(f"s{i}", "p", i)
                                        for i in range(4)]
-                assert store.generation == 4
                 assert triple("bulk0", "p", 0) not in store
 
             _in_thread(read)
@@ -160,16 +157,15 @@ class TestSnapshotReadsDuringBulk:
         root = Resource("root")
         store.add(triple(root, "slim:bundleContent", Resource("a")))
         store.add(triple("a", "slim:scrapName", "one"))
-        view = View(store, root)
+        calls = _spy_flushes(store)
         with store.bulk():
             store.add(triple(root, "slim:bundleContent", Resource("b")))
             store.add(triple("b", "slim:scrapName", "two"))
 
-            closure = _in_thread(view.triples)
+            closure = _in_thread(lambda: reachable_triples(store, root))
             assert len(closure) == 2  # only the flushed subgraph
-            # Generation was stable across the traversal, so it cached.
-            assert view._cached_triples is not None
-        assert len(view.triples()) == 4  # recomputed after the flush
+            assert calls == []        # the reader forced no flush
+        assert len(reachable_triples(store, root)) == 4  # after the flush
 
     def test_concurrent_flag_preserves_results(self, store_cls):
         plain, cow = store_cls(), store_cls(concurrent=True)
@@ -200,7 +196,6 @@ class TestConcurrentStress:
         store.add(triple(root, "slim:bundleContent", Resource("seed")))
         store.add(triple("seed", "slim:scrapName", "seed"))
         flush_threads = _spy_flushes(store)
-        view = View(store, root)
         done = threading.Event()
         published = []          # chunk ids whose bulk scope has exited
         errors = []
@@ -233,7 +228,8 @@ class TestConcurrentStress:
                         selected = store.select(
                             subject=Resource(f"chunk{chunk}"))
                         assert len(selected) in (0, self.CHUNK_SIZE)
-                    assert len(view.triples()) == 2  # untouched subgraph
+                    # The untouched subgraph's closure never moves.
+                    assert len(reachable_triples(store, root)) == 2
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
                 done.set()

@@ -13,7 +13,7 @@ from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.triple import Resource, triple
 from repro.triples.trim import TrimManager
-from repro.triples.views import View
+from repro.triples.views import reachable_triples
 from repro.util.coordinates import Coordinate
 
 from tests.conftest import make_library
@@ -70,20 +70,12 @@ class TestMarkManagerEdges:
 
 
 class TestTripleEdges:
-    def test_view_resources_and_len(self):
-        store = TripleStore()
-        store.add(triple("a", "p", Resource("b")))
-        store.add(triple("b", "q", 1))
-        view = View(store, Resource("a"))
-        assert [r.uri for r in view.resources()] == ["a", "b"]
-        assert len(view) == 2
-
     def test_view_max_depth_zero(self):
         store = TripleStore()
         store.add(triple("a", "p", Resource("b")))
         store.add(triple("b", "q", 1))
-        view = View(store, Resource("a"), max_depth=0)
-        assert len(view) == 1  # only a's own triples
+        view = reachable_triples(store, Resource("a"), max_depth=0)
+        assert view == [triple("a", "p", Resource("b"))]  # a's own only
 
     def test_query_with_no_variables(self):
         store = TripleStore()

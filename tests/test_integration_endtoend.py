@@ -81,8 +81,8 @@ class TestFullStack:
         slimpad, rows = build_rounds_worksheet(dataset)
         trim = slimpad.dmi.runtime.trim
         row = rows[1]
-        view = trim.view(Resource(row.bundle.id))
-        subjects = {t.subject.uri for t in view.triples()}
+        view = trim.reachable(Resource(row.bundle.id))
+        subjects = {t.subject.uri for t in view}
         assert Resource(row.labs.id).uri in subjects
         assert row.bundle.id in subjects
         # No other patient's bundle appears.

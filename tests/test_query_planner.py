@@ -1,10 +1,9 @@
-"""Tests for the selectivity-based query planner and generation-cached views.
+"""Tests for the selectivity-based query planner.
 
 The planner contract: results are identical (order-insensitive) with the
 planner on and off — the written pattern order may change the cost, never
 the answer.  ``explain()`` exposes the chosen order so the reordering
-itself is testable.  View caching contract: repeated reads of an unchanged
-store hit the cache; any mutation invalidates it.
+itself is testable.
 """
 
 import random
@@ -14,7 +13,6 @@ import pytest
 from repro.triples.query import Pattern, PlanStep, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
-from repro.triples.views import View
 
 
 @pytest.fixture
@@ -163,66 +161,3 @@ class TestTrimIntegration:
         plan = trim.explain(q)
         assert [step.position for step in plan] == [1, 0]
         assert trim.query(q)[0]["b"] == Resource("b1")
-
-
-class TestViewGenerationCache:
-    def test_repeated_reads_reuse_closure(self, pad_store):
-        view = View(pad_store, Resource("b0"))
-        first = view.triples()
-        calls = []
-        original = pad_store.select
-
-        def counting_select(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        pad_store.select = counting_select
-        try:
-            assert view.triples() == first     # unchanged store: cache hit
-            assert view.resources() != []      # resources cache fills once
-            assert view.resources() == view.resources()
-            traversals_after_warm = len(calls)
-            assert view.triples() == first
-            assert len(calls) == traversals_after_warm  # still no re-walk
-        finally:
-            del pad_store.select
-
-    def test_mutation_invalidates_between_reads(self, pad_store):
-        view = View(pad_store, Resource("b1"))
-        assert len(view) == 3
-        pad_store.add(triple("s1", "slim:annotation", "recheck at 6pm"))
-        assert len(view) == 4                   # add invalidates
-        pad_store.remove(triple("s1", "slim:annotation", "recheck at 6pm"))
-        assert len(view) == 3                   # remove invalidates
-        pad_store.clear()
-        assert view.triples() == []             # clear invalidates
-
-    def test_resources_cache_invalidates_too(self, pad_store):
-        view = View(pad_store, Resource("b0"))
-        before = view.resources()
-        pad_store.add(triple("b0", "slim:nestedBundle", Resource("b7")))
-        after = view.resources()
-        assert Resource("b7") in after and Resource("b7") not in before
-
-    def test_returned_lists_are_caller_safe_copies(self, pad_store):
-        view = View(pad_store, Resource("b0"))
-        got = view.triples()
-        got.clear()
-        assert len(view.triples()) > 0
-
-    def test_snapshot_stays_detached(self, pad_store):
-        view = View(pad_store, Resource("b1"))
-        snap = view.snapshot()
-        before = len(snap)
-        pad_store.add(triple("s1", "slim:annotation", "later"))
-        assert len(snap) == before
-
-    def test_generationless_store_recomputes(self, pad_store):
-        class BareStore:
-            def select(self, subject=None, property=None, value=None):
-                return pad_store.select(subject, property, value)
-
-        view = View(BareStore(), Resource("b1"))
-        assert len(view.triples()) == 3
-        pad_store.add(triple("s1", "slim:annotation", "fresh"))
-        assert len(view.triples()) == 4         # no stale cache possible

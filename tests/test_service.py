@@ -528,6 +528,30 @@ class TestTrimServiceSockets:
         # ratios are timing-dependent; the benchmark measures them.)
         assert stats["write_batches"] <= stats["writes"]
 
+    def test_stats_carry_the_counters_perfbench_reads(self, service):
+        """The stats shape ``perfbench/run.py`` sums: per tenant,
+        ``trim.stats`` carries the writer's counters and the read cache's
+        ``select_cache`` counters; ``admin.stats`` carries the registry's
+        open and eviction totals."""
+        with ServiceClient("127.0.0.1", service.port, tenant="pb") as c:
+            c.create("slim:s", "slim:p", 1)
+            c.select(s="slim:s")
+            c.select(s="slim:s")
+            stats = c.stats()
+            admin = c.admin_stats()
+        tenant = stats["tenant"]
+        for key in ("writes", "write_batches", "fsync_count", "rejected"):
+            assert isinstance(tenant[key], int), key
+        assert tenant["writes"] == 1
+        select_cache = stats["cache"]["select_cache"]
+        for key in ("hits", "misses", "invalidations", "evictions"):
+            assert isinstance(select_cache[key], int), key
+        assert select_cache["hits"] >= 1 and select_cache["misses"] >= 1
+        for key in ("opens", "evictions"):
+            assert isinstance(admin[key], int), key
+        assert admin["opens"] >= 1
+        assert admin["tenants"]["pb"]["writes"] == 1
+
     def test_admin_evict_and_transparent_reopen(self, service):
         with ServiceClient("127.0.0.1", service.port, tenant="ev") as c:
             c.create("slim:s", "slim:p", 1)

@@ -816,7 +816,7 @@ class TestTrimManager:
         b, s = trim.new_resource("bundle"), trim.new_resource("scrap")
         trim.create(b, "slim:bundleContent", s)
         trim.create(s, "slim:scrapName", "K+")
-        assert len(trim.view(b)) == 2
+        assert len(trim.reachable(b)) == 2
 
     def test_batch_facade_rolls_back(self):
         trim = TrimManager()

@@ -6,7 +6,7 @@ from repro.errors import QueryError
 from repro.triples.query import Pattern, Query, Var
 from repro.triples.store import TripleStore
 from repro.triples.triple import Literal, Resource, triple
-from repro.triples.views import View, reachable_resources, reachable_triples
+from repro.triples.views import reachable_triples
 
 
 @pytest.fixture
@@ -120,8 +120,10 @@ class TestReachability:
         assert all(t.subject.uri != "b9" for t in triples)
 
     def test_view_from_pad_reaches_everything_linked(self, pad_store):
-        resources = reachable_resources(pad_store, Resource("pad"))
-        assert [r.uri for r in resources] == ["pad", "b0", "s0", "b1", "s1"]
+        triples = reachable_triples(pad_store, Resource("pad"))
+        subjects = list(dict.fromkeys(t.subject.uri for t in triples))
+        # Every linked resource, in BFS discovery order.
+        assert subjects == ["pad", "b0", "s0", "b1", "s1"]
 
     def test_cycles_terminate(self):
         s = TripleStore()
@@ -146,20 +148,6 @@ class TestReachability:
 
     def test_root_with_no_triples_gives_empty_view(self, pad_store):
         assert reachable_triples(pad_store, Resource("ghost")) == []
-        assert reachable_resources(pad_store, Resource("ghost")) == [Resource("ghost")]
-
-    def test_view_object_reevaluates(self, pad_store):
-        view = View(pad_store, Resource("b1"))
-        assert len(view) == 3
-        pad_store.add(triple("s1", "slim:annotation", "recheck at 6pm"))
-        assert len(view) == 4
-
-    def test_view_snapshot_is_detached(self, pad_store):
-        view = View(pad_store, Resource("b1"))
-        snap = view.snapshot()
-        before = len(snap)
-        pad_store.add(triple("s1", "slim:annotation", "later"))
-        assert len(snap) == before
 
     def test_literal_values_never_expand(self, pad_store):
         # A literal equal to a resource uri must not cause traversal.

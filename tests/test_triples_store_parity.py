@@ -4,8 +4,8 @@ Every test here runs against a plain ``TripleStore()`` (the in-process
 SLIMPad's mode) *and* ``TripleStore(concurrent=True)`` (every tenant
 ``repro serve`` opens) via one parametrized fixture.  Anything TRIM-level
 code may call on "a store" belongs here: mutation, selection,
-single-value reads, iteration order, statistics (:meth:`count` /
-:attr:`generation`), and ``estimated_bytes`` sanity.  :class:`TestNaiveOracle`
+single-value reads, iteration order, statistics (:meth:`count`), and
+``estimated_bytes`` sanity.  :class:`TestNaiveOracle`
 closes the suite by driving both modes against a plain-dict model.
 """
 
@@ -228,25 +228,6 @@ class TestStatisticsParity:
                                  value=Resource("s1")))
         assert estimate >= exact
 
-    def test_generation_bumps_on_every_mutation(self, empty_store):
-        g0 = empty_store.generation
-        t = triple("a", "p", "v")
-        empty_store.add(t)
-        g1 = empty_store.generation
-        assert g1 > g0
-        empty_store.add(t)              # duplicate: no mutation
-        assert empty_store.generation == g1
-        empty_store.remove(t)
-        assert empty_store.generation > g1
-
-    def test_generation_bumps_through_add_all_and_clear(self, empty_store):
-        g0 = empty_store.generation
-        empty_store.add_all([triple("a", "p", i) for i in range(5)])
-        g1 = empty_store.generation
-        assert g1 >= g0 + 5
-        empty_store.clear()
-        assert empty_store.generation > g1
-
 
 class TestListenerParity:
     """The change-listener contract: ``listener(action, triple, sequence)``
@@ -334,9 +315,11 @@ class TestRestoreParity:
 
     def test_restore_present_is_noop(self, store):
         t = triple("s1", "slim:scrapName", "K+ 3.9")
-        generation = store.generation
+        before = list(store.sequenced())
+        events = []
+        store.add_listener(lambda *event: events.append(event))
         assert store.restore(t, store.sequence_of(t)) is False
-        assert store.generation == generation
+        assert list(store.sequenced()) == before and events == []
 
     def test_restore_keeps_iteration_and_select_aligned(self, empty_store):
         items = [triple(f"s{i}", "p", i) for i in range(5)]
