@@ -4,14 +4,17 @@
 
 Measures the triple representation's footprint against the schema-first
 native store for identical pads at growing sizes, printing the overhead
-factor.  Expectation (shape): a significant constant factor (a few ×),
-roughly flat in pad size — flexibility costs a multiplier, not a
-blow-up.
+factor.  Both footprints are allocations counted by ``tracemalloc``
+(:func:`repro.workloads.generator.pad_bytes`): every object and
+container each store holds, index buckets included.  Expectation
+(shape): a significant constant factor (a few ×), roughly flat in pad
+size — flexibility costs a multiplier, not a blow-up.
 """
 
 import pytest
 
-from repro.workloads.generator import build_pad_native, build_pad_via_dmi
+from repro.workloads.generator import (build_pad_native, build_pad_via_dmi,
+                                       pad_bytes)
 
 from benchmarks.conftest import print_table, run_once
 
@@ -23,19 +26,15 @@ def test_c1_space_overhead_factor(benchmark):
         rows = []
         factors = []
         for bundles, scraps in SIZES:
-            dmi = build_pad_via_dmi(bundles, scraps)
-            native = build_pad_native(bundles, scraps)
-            triple_bytes = dmi.runtime.trim.store.estimated_bytes()
-            native_bytes = native.estimated_bytes()
+            triples, triple_bytes, native_bytes = pad_bytes(bundles, scraps)
             factor = triple_bytes / native_bytes
             factors.append(factor)
-            rows.append((f"{bundles}x{scraps}",
-                         len(dmi.runtime.trim.store), triple_bytes,
+            rows.append((f"{bundles}x{scraps}", triples, triple_bytes,
                          native_bytes, f"{factor:.1f}x"))
         return rows, factors
 
     rows, factors = run_once(benchmark, measure)
-    print_table("C-1 — triples vs native bytes (same pad)",
+    print_table("C-1 — triples vs native allocated bytes (same pad)",
                 ["pad size", "triples", "triple bytes", "native bytes",
                  "overhead"], rows)
 

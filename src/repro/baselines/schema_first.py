@@ -164,33 +164,6 @@ class SchemaFirstStore:
         self._scraps.pop(scrap.scrap_id, None)
         return count
 
-    # -- measurement --------------------------------------------------------------------
-
-    def estimated_bytes(self) -> int:
-        """The native representation's footprint, measured the same way
-        as :meth:`repro.triples.store.TripleStore.estimated_bytes`:
-        string payload plus a fixed per-record/per-slot overhead."""
-        per_record_overhead = 48
-        per_slot = 8
-        total = 0
-        for pad in self._pads.values():
-            total += len(pad.pad_id) + len(pad.name) + per_record_overhead
-            total += 2 * per_slot
-        for bundle in self._bundles.values():
-            total += len(bundle.bundle_id) + len(bundle.name)
-            total += per_record_overhead + 6 * per_slot
-            total += per_slot * (len(bundle.scraps) + len(bundle.nested))
-            total += 16  # the coordinate
-        for scrap in self._scraps.values():
-            total += len(scrap.scrap_id) + len(scrap.name)
-            total += per_record_overhead + 3 * per_slot
-            total += per_slot * len(scrap.marks)
-            total += 16
-        for handle in self._handles.values():
-            total += len(handle.handle_id) + len(handle.mark_id)
-            total += per_record_overhead + 2 * per_slot
-        return total
-
     def counts(self) -> Dict[str, int]:
         """Record counts by kind."""
         return {"pads": len(self._pads), "bundles": len(self._bundles),

@@ -12,9 +12,19 @@ two compound indexes — ``(subject, property)`` and ``(property, value)``
 (``value_of``/``values_of`` and type-extent scans), change listeners
 (which feed the undo log, the write-ahead log, the read cache and replay
 capture), an exact :meth:`count` that the query planner reads, and a
-size estimator used by the space-overhead benchmark (claim C-1).  A
+size estimator that claim C-3's superimposed-bytes figure reads.  A
 selection fixing only the value probes its ``(property, value)`` bucket
 under each property; real pads have a dozen properties or fewer.
+
+Bucket shapes (DESIGN.md §7): a single-field bucket is always a ``set``.
+A compound bucket holding one triple is that bare :class:`Triple`, and a
+``set`` of two or more otherwise — on real pads nearly every compound
+key holds one triple, and a one-element set costs 216 bytes.
+:meth:`_bucket_insert`, :meth:`_bucket_discard` and :meth:`_bucket_view`
+handle the two shapes for every other method (:meth:`restore_rows` only
+stores a key's first triple bare itself): a second triple promotes a
+bare bucket to a set, a removal leaving one triple demotes it, each
+with one dict assignment.
 
 Concurrency model (DESIGN.md §10): every mutation runs under one
 re-entrant store lock; reads take no lock at all.  During a :meth:`bulk`
@@ -26,14 +36,16 @@ neither until the flush publishes everything together.  Constructing the
 store with ``concurrent=True`` makes reads iterate a one-``tuple()``
 snapshot of the bucket they pick, so writers update buckets in place at
 O(1) per triple; DESIGN.md §10 gives the GIL argument that a reader sees
-each bucket before or after a write, never in between.
+each bucket before or after a write, never in between — a promotion or
+demotion included, since it builds the new bucket before one dict
+assignment publishes it and never mutates the old one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (Callable, Dict, ItemsView, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+from typing import (Callable, Collection, Dict, ItemsView, Iterable,
+                    Iterator, List, Optional, Set, Tuple, Union)
 
 from repro.errors import TransactionError, TripleNotFoundError
 from repro.triples.triple import Literal, Node, Resource, Triple
@@ -47,6 +59,10 @@ ChangeListener = Callable[[str, Triple, int], None]
 #: Shared immutable empty bucket — ``_candidates`` must never allocate a
 #: fresh container just to say "no hits".
 _EMPTY: "frozenset[Triple]" = frozenset()
+
+#: A compound-index bucket: the bare triple when its key holds one, else
+#: a set of two or more.
+Bucket = Union[Triple, Set[Triple]]
 
 
 class BulkLoad:
@@ -95,6 +111,10 @@ class TripleStore:
     """A set of triples with hash indexes on subject, property and the
     ``(subject, property)`` and ``(property, value)`` pairs.
 
+    A single-field index maps each key to a ``set``; a compound index
+    maps it to the bare triple when the key holds one, else to a ``set``
+    of two or more (see the module docstring).
+
     The store has *set semantics*: adding a triple twice is a no-op and
     :meth:`add` reports whether the triple was new.  Iteration order is the
     insertion order of currently present triples, which keeps persisted
@@ -119,9 +139,10 @@ class TripleStore:
         self._by_property: Dict[Resource, Set[Triple]] = {}
         # Compound indexes: the two pairs that real traffic fixes together.
         # A value-only read probes (property, value) once per property; a
-        # (subject, value) read filters the subject bucket.
-        self._by_subject_property: Dict[Tuple[Resource, Resource], Set[Triple]] = {}
-        self._by_property_value: Dict[Tuple[Resource, Node], Set[Triple]] = {}
+        # (subject, value) read filters the subject bucket.  A key holding
+        # one triple maps to the bare triple (see _bucket_insert).
+        self._by_subject_property: Dict[Tuple[Resource, Resource], Bucket] = {}
+        self._by_property_value: Dict[Tuple[Resource, Node], Bucket] = {}
         self._listeners: List[ChangeListener] = []
         self.concurrent = concurrent
         self._lock = threading.RLock()
@@ -226,13 +247,9 @@ class TripleStore:
         if self.concurrent:
             self._publish_indexed(pending)
         else:
-            by_s, by_p = self._by_subject, self._by_property
-            by_sp, by_pv = self._by_subject_property, self._by_property_value
+            index_insert = self._index_insert
             for t, _ in pending:
-                by_s.setdefault(t.subject, set()).add(t)
-                by_p.setdefault(t.property, set()).add(t)
-                by_sp.setdefault((t.subject, t.property), set()).add(t)
-                by_pv.setdefault((t.property, t.value), set()).add(t)
+                index_insert(t)
         self._bulk_seq_mark = self._sequence
         if self._listeners:
             for t, sequence in pending:
@@ -242,27 +259,26 @@ class TripleStore:
         """Multi-triple index publish (bulk flush, :meth:`add_all`) for
         ``concurrent=True``.
 
-        Additions are grouped per bucket key.  A bucket gaining one triple
-        is updated in place; one gaining more is rebuilt once and published
-        with a single dict assignment, so readers see all or none of the
-        batch's additions to it, and the copy is amortized over the batch.
+        Additions are grouped per bucket key, and each bucket takes its
+        group in one step.  A set gaining one triple is updated in place.
+        Any other change is built aside and published with a single dict
+        assignment: a set gaining more is rebuilt once, a new compound key
+        gaining one triple gets it bare, and a bare bucket gaining any is
+        promoted to a set.  Readers see all or none of the batch's
+        additions to a bucket, and the copy is amortized over the batch.
         """
-        for index, key_of in (
-                (self._by_subject, lambda t: t.subject),
-                (self._by_property, lambda t: t.property),
+        for index, key_of, insert in (
+                (self._by_subject, lambda t: t.subject, self._set_insert),
+                (self._by_property, lambda t: t.property, self._set_insert),
                 (self._by_subject_property,
-                 lambda t: (t.subject, t.property)),
+                 lambda t: (t.subject, t.property), self._bucket_insert),
                 (self._by_property_value,
-                 lambda t: (t.property, t.value))):
+                 lambda t: (t.property, t.value), self._bucket_insert)):
             additions: Dict = {}
             for t, _ in pending:
                 additions.setdefault(key_of(t), []).append(t)
             for key, ts in additions.items():
-                old = index.get(key)
-                if old is not None and len(ts) == 1:
-                    old.add(ts[0])
-                else:
-                    index[key] = set(ts) if old is None else old.union(ts)
+                insert(index, key, *ts)
 
     # -- mutation -----------------------------------------------------------
 
@@ -356,7 +372,10 @@ class TripleStore:
         and integer ``(subject-id, property-id, value-id, sequence)``
         rows wholesale, so the whole membership map and all four indexes
         are built in one tight pass over local containers — no per-row
-        lock round trip, no pending buffer, no listener bookkeeping.
+        lock round trip, no pending buffer, no listener bookkeeping.  A
+        compound key's first row stores its triple bare with one
+        ``setdefault``; a later row for the key goes through
+        :meth:`_bucket_insert`, which promotes the bucket to a set.
         All-or-nothing: a bad row (id out of bounds, literal where a
         resource belongs) raises ``IndexError``/``ValueError`` before
         anything is installed, leaving the store untouched.
@@ -380,8 +399,9 @@ class TripleStore:
             members: Dict[Triple, int] = {}
             by_s: Dict[Resource, Set[Triple]] = {}
             by_p: Dict[Resource, Set[Triple]] = {}
-            by_sp: Dict[Tuple[Resource, Resource], Set[Triple]] = {}
-            by_pv: Dict[Tuple[Resource, Node], Set[Triple]] = {}
+            by_sp: Dict[Tuple[Resource, Resource], Bucket] = {}
+            by_pv: Dict[Tuple[Resource, Node], Bucket] = {}
+            insert = self._bucket_insert
             tail = -1
             top = -1
             need_sort = False
@@ -419,15 +439,11 @@ class TripleStore:
                     by_p[prop] = bucket = set()
                 bucket.add(t)
                 pair = (subject, prop)
-                bucket = by_sp.get(pair)
-                if bucket is None:
-                    by_sp[pair] = bucket = set()
-                bucket.add(t)
+                if by_sp.setdefault(pair, t) is not t:
+                    insert(by_sp, pair, t)
                 pair = (prop, value)
-                bucket = by_pv.get(pair)
-                if bucket is None:
-                    by_pv[pair] = bucket = set()
-                bucket.add(t)
+                if by_pv.setdefault(pair, t) is not t:
+                    insert(by_pv, pair, t)
             if need_sort:
                 members = dict(
                     sorted(members.items(), key=lambda item: item[1]))
@@ -442,9 +458,10 @@ class TripleStore:
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; return how many were new.
 
-        Batch fast path: indexes and locals are bound once, each new triple
-        costs one membership probe plus four bucket inserts, and the
-        listener fan-out is skipped entirely when nobody is subscribed.
+        Batch fast path: locals are bound once, each new triple costs one
+        membership probe plus four bucket inserts (:meth:`_publish_indexed`
+        groups them per bucket in ``concurrent`` mode), and the listener
+        fan-out is skipped entirely when nobody is subscribed.
         Listeners (when present) still see every insertion individually, so
         undo logs and batches observe the same events as N ``add`` calls.
         """
@@ -481,8 +498,7 @@ class TripleStore:
                     for t, sequence in accepted:
                         self._notify("add", t, sequence)
                 return len(accepted)
-            by_s, by_p = self._by_subject, self._by_property
-            by_sp, by_pv = self._by_subject_property, self._by_property_value
+            index_insert = self._index_insert
             notify = self._notify if self._listeners else None
             added = 0
             for t in triples:
@@ -491,10 +507,7 @@ class TripleStore:
                 sequence = self._sequence
                 members[t] = sequence
                 self._sequence += 1
-                by_s.setdefault(t.subject, set()).add(t)
-                by_p.setdefault(t.property, set()).add(t)
-                by_sp.setdefault((t.subject, t.property), set()).add(t)
-                by_pv.setdefault((t.property, t.value), set()).add(t)
+                index_insert(t)
                 added += 1
                 if notify is not None:
                     notify("add", t, sequence)
@@ -508,13 +521,7 @@ class TripleStore:
             if triple not in self._triples:
                 raise TripleNotFoundError(f"triple not in store: {triple}")
             sequence = self._triples.pop(triple)
-            discard = self._index_discard
-            discard(self._by_subject, triple.subject, triple)
-            discard(self._by_property, triple.property, triple)
-            discard(self._by_subject_property,
-                    (triple.subject, triple.property), triple)
-            discard(self._by_property_value,
-                    (triple.property, triple.value), triple)
+            self._index_discard(triple)
             self._notify("remove", triple, sequence)
 
     def discard(self, triple: Triple) -> bool:
@@ -533,12 +540,14 @@ class TripleStore:
 
         Batched removal fast path: the victims are materialized once
         (single-threaded match() iterates live index buckets, so this must
-        happen before the first removal mutates them), then dropped with
-        bound locals — one membership pop plus four bucket discards each,
-        instead of a full :meth:`remove` call per triple.  A value-only
-        selection collects its victims from the ``(property, value)``
-        buckets.  Listeners still see every removal individually, in match
-        order.
+        happen before the first removal mutates or demotes them), then
+        dropped with bound locals — one membership pop plus four bucket
+        discards each, instead of a full :meth:`remove` call per triple.
+        A compound bucket that one discard leaves holding a single triple
+        is demoted to that bare triple; one emptied is deleted.  A
+        value-only selection collects its victims from the
+        ``(property, value)`` buckets.  Listeners still see every removal
+        individually, in match order.
         """
         with self._lock:
             if self._pending:
@@ -547,16 +556,11 @@ class TripleStore:
             if not victims:
                 return 0
             members = self._triples
-            by_s, by_p = self._by_subject, self._by_property
-            by_sp, by_pv = self._by_subject_property, self._by_property_value
-            discard = self._index_discard
+            index_discard = self._index_discard
             notify = self._notify if self._listeners else None
             for t in victims:
                 sequence = members.pop(t)
-                discard(by_s, t.subject, t)
-                discard(by_p, t.property, t)
-                discard(by_sp, (t.subject, t.property), t)
-                discard(by_pv, (t.property, t.value), t)
+                index_discard(t)
                 if notify is not None:
                     notify("remove", t, sequence)
             return len(victims)
@@ -611,12 +615,12 @@ class TripleStore:
             return
         if subject is not None and property is not None:
             # Exact bucket: no residual checks needed.
-            yield from self._stable(self._by_subject_property.get(
-                (subject, property), _EMPTY))
+            yield from self._stable(self._bucket_view(
+                self._by_subject_property, (subject, property)))
             return
         if property is not None and value is not None:
-            yield from self._stable(self._by_property_value.get(
-                (property, value), _EMPTY))
+            yield from self._stable(self._bucket_view(
+                self._by_property_value, (property, value)))
             return
         candidates = self._candidates(subject, property, value)
         for triple in candidates:
@@ -685,8 +689,10 @@ class TripleStore:
 
         Exact for every combination.  O(1) where an index covers it: no
         fields (store size), subject, property, ``(subject, property)``,
-        ``(property, value)``, and all three (membership probe).  A value
-        alone sums its ``(property, value)`` buckets, one probe per
+        ``(property, value)``, and all three (membership probe).  A
+        compound bucket counts 1 when it is a bare triple and its set's
+        size otherwise (:meth:`_bucket_view`), never copying the set.  A
+        value alone sums its ``(property, value)`` buckets, one probe per
         property; ``(subject, value)`` counts the subject bucket's triples
         holding the value.
         """
@@ -694,9 +700,11 @@ class TripleStore:
         if subject is not None and property is not None and value is not None:
             return 1 if Triple(subject, property, value) in self._triples else 0
         if subject is not None and property is not None:
-            return len(self._by_subject_property.get((subject, property), _EMPTY))
+            return len(self._bucket_view(
+                self._by_subject_property, (subject, property)))
         if property is not None and value is not None:
-            return len(self._by_property_value.get((property, value), _EMPTY))
+            return len(self._bucket_view(
+                self._by_property_value, (property, value)))
         if subject is not None and value is not None:
             return sum(t.value == value for t in self._stable(
                 self._by_subject.get(subject, _EMPTY)))
@@ -705,8 +713,8 @@ class TripleStore:
         if property is not None:
             return len(self._by_property.get(property, _EMPTY))
         if value is not None:
-            by_pv = self._by_property_value
-            return sum(len(by_pv.get((prop, value), _EMPTY))
+            view, by_pv = self._bucket_view, self._by_property_value
+            return sum(len(view(by_pv, (prop, value)))
                        for prop in self._stable(self._by_property.keys()))
         return len(self._triples)
 
@@ -769,9 +777,9 @@ class TripleStore:
         Counts the string payload of every field of every triple (URIs and
         literal reprs) plus a fixed per-triple and per-index-entry overhead
         — four index entries per triple (two single-field, two compound).
-        Used by the space-overhead benchmark (claim C-1); the absolute
-        number is indicative, the *ratio* against a native representation
-        is what the paper's trade-off discussion is about.
+        Claim C-3's superimposed-bytes figure reads it beside the base
+        documents' estimators of the same kind; it does not see container
+        sizes, so claim C-1 measures allocations instead.
         """
         per_triple_overhead = 3 * 8 + 48   # three refs + container slots
         count = 0
@@ -836,10 +844,10 @@ class TripleStore:
         if property is not None:
             return self._stable(self._by_property.get(property, _EMPTY))
         if value is not None:
-            by_pv = self._by_property_value
+            view, by_pv = self._bucket_view, self._by_property_value
             hits: List[Triple] = []
             for prop in self._stable(self._by_property.keys()):
-                hits.extend(self._stable(by_pv.get((prop, value), _EMPTY)))
+                hits.extend(self._stable(view(by_pv, (prop, value))))
             return hits
         return self._stable(self._triples.keys())
 
@@ -857,20 +865,91 @@ class TripleStore:
                 continue
 
     def _index_insert(self, triple: Triple) -> None:
+        """Add a triple new to the store to all four indexes."""
         self._by_subject.setdefault(triple.subject, set()).add(triple)
         self._by_property.setdefault(triple.property, set()).add(triple)
-        self._by_subject_property.setdefault(
-            (triple.subject, triple.property), set()).add(triple)
-        self._by_property_value.setdefault(
-            (triple.property, triple.value), set()).add(triple)
+        self._bucket_insert(self._by_subject_property,
+                            (triple.subject, triple.property), triple)
+        self._bucket_insert(self._by_property_value,
+                            (triple.property, triple.value), triple)
+
+    def _index_discard(self, triple: Triple) -> None:
+        """Drop a present triple from all four indexes."""
+        for index, key in ((self._by_subject, triple.subject),
+                           (self._by_property, triple.property)):
+            bucket = index.get(key)
+            if bucket is not None:
+                bucket.discard(triple)
+                if not bucket:
+                    del index[key]
+        self._bucket_discard(self._by_subject_property,
+                             (triple.subject, triple.property), triple)
+        self._bucket_discard(self._by_property_value,
+                             (triple.property, triple.value), triple)
 
     @staticmethod
-    def _index_discard(index: Dict, key, triple: Triple) -> None:
+    def _set_insert(index: Dict, key, triple: Triple, *more: Triple) -> None:
+        """Add triples new to the store to a single-field (set) bucket:
+        in place for one, a rebuilt set published with one dict
+        assignment for more."""
         bucket = index.get(key)
-        if bucket is not None:
-            bucket.discard(triple)
-            if not bucket:
+        if bucket is None:
+            index[key] = {triple, *more}
+        elif more:
+            index[key] = bucket.union((triple, *more))
+        else:
+            bucket.add(triple)
+
+    @staticmethod
+    def _bucket_insert(index: Dict, key, triple: Triple,
+                       *more: Triple) -> None:
+        """Add triples new to the store to a compound bucket, with at most
+        one dict assignment: a new key gets one triple bare (or a set of
+        several); a bare bucket is promoted to a set built aside; a set
+        takes one triple in place, or is rebuilt once for more.  A bare
+        bucket handed its own triple again stays bare."""
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = {triple, *more} if more else triple
+        elif type(bucket) is Triple:
+            if more or bucket != triple:
+                index[key] = {bucket, triple, *more}
+        elif more:
+            index[key] = bucket.union((triple, *more))
+        else:
+            bucket.add(triple)
+
+    @staticmethod
+    def _bucket_discard(index: Dict, key, triple: Triple) -> None:
+        """Drop *triple* from a compound bucket.  A bare bucket holding it
+        is deleted; a pair is demoted to its other triple with one dict
+        assignment, leaving the old set untouched for any reader still
+        iterating it; a larger set shrinks in place (it keeps two or
+        more)."""
+        bucket = index.get(key)
+        if bucket is None:
+            return
+        if type(bucket) is Triple:
+            if bucket == triple:
                 del index[key]
+        elif len(bucket) == 2:
+            if triple in bucket:
+                first, second = bucket
+                index[key] = second if first == triple else first
+        else:
+            bucket.discard(triple)
+
+    @staticmethod
+    def _bucket_view(index: Dict, key) -> Collection[Triple]:
+        """A compound bucket as a collection: ``(t,)`` for a bare triple,
+        else the set itself (``_EMPTY`` for a missing key).  Callers that
+        iterate it go through :meth:`_stable`, which snapshots a set when
+        a writer may race and returns a tuple as it is; :meth:`count`
+        takes its ``len`` without copying."""
+        bucket = index.get(key, _EMPTY)
+        if type(bucket) is Triple:
+            return (bucket,)
+        return bucket
 
     def _notify(self, action: str, triple: Triple, sequence: int) -> None:
         for listener in list(self._listeners):

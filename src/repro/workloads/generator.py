@@ -6,11 +6,16 @@ deterministically from simple scale parameters.
 
 from __future__ import annotations
 
+import gc
+import os
 import random
-from typing import List, Optional
+import tempfile
+import tracemalloc
+from typing import Callable, List, Optional, Tuple
 
 from repro.baselines.schema_first import SchemaFirstStore
 from repro.slimpad.dmi import SlimPadDMI
+from repro.triples.persistence import load_snapshot, save_snapshot
 from repro.triples.store import TripleStore
 from repro.triples.triple import Resource, triple
 from repro.util.coordinates import Coordinate
@@ -65,6 +70,43 @@ def build_pad_native(num_bundles: int, scraps_per_bundle: int
             store.add_mark(scrap, handle)
             store.add_scrap(bundle, scrap)
     return store
+
+
+def retained_bytes(build: Callable[[], object]) -> int:
+    """Bytes that *build*'s result keeps allocated, by :mod:`tracemalloc`:
+    the traced total once the build's garbage is collected, with the
+    result still alive.  Counts every object and container the result
+    holds, which a per-field size estimate cannot see."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()  # held: the traced total must include it
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def pad_bytes(num_bundles: int, scraps_per_bundle: int
+              ) -> Tuple[int, int, int]:
+    """Claim C-1's two footprints for one pad shape, measured the same
+    way (:func:`retained_bytes`): ``(triples, triple-store bytes, native
+    bytes)``.
+
+    The triple store is measured as a cold open builds it — the
+    :func:`build_pad_via_dmi` pad's v3 snapshot loaded into an empty
+    store — so its nodes, triples and indexes are the only things held;
+    the schema-first store is measured as :func:`build_pad_native`
+    builds it."""
+    store = build_pad_via_dmi(num_bundles, scraps_per_bundle).runtime.trim.store
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "pad.slim")
+        save_snapshot(store, path)
+        triple_bytes = retained_bytes(
+            lambda: load_snapshot(path).document.store)
+    native_bytes = retained_bytes(
+        lambda: build_pad_native(num_bundles, scraps_per_bundle))
+    return len(store), triple_bytes, native_bytes
 
 
 def random_triples(count: int, num_subjects: int = 100,

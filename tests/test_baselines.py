@@ -239,11 +239,7 @@ class TestSchemaFirstStore:
     def test_native_bytes_below_triples(self):
         """Claim C-1's direction: the native store is smaller than the
         triple store for the same pad."""
-        from repro.workloads.generator import (build_pad_native,
-                                               build_pad_via_dmi)
-        dmi = build_pad_via_dmi(10, 10)
-        native = build_pad_native(10, 10)
-        triples_bytes = dmi.runtime.trim.store.estimated_bytes()
-        native_bytes = native.estimated_bytes()
+        from repro.workloads.generator import pad_bytes
+        _, triples_bytes, native_bytes = pad_bytes(10, 10)
         assert native_bytes < triples_bytes
         assert triples_bytes / native_bytes > 2  # a real constant factor

@@ -306,6 +306,180 @@ class TestRestoreRows:
                    for t, _ in items)
 
 
+_COMPOUND = ("_by_subject_property", "_by_property_value")
+
+
+def _check_bucket_shapes(store):
+    """Every compound bucket is a bare triple or a set of two or more,
+    and holds exactly the member triples that share its key."""
+    key_of = {"_by_subject_property": lambda t: (t.subject, t.property),
+              "_by_property_value": lambda t: (t.property, t.value)}
+    for name in _COMPOUND:
+        expected = {}
+        for t in store:
+            expected.setdefault(key_of[name](t), set()).add(t)
+        index = getattr(store, name)
+        assert index.keys() == expected.keys(), name
+        for key, bucket in index.items():
+            if isinstance(bucket, Triple):
+                assert {bucket} == expected[key], (name, key)
+            else:
+                assert isinstance(bucket, set) and len(bucket) >= 2, \
+                    (name, key, bucket)
+                assert bucket == expected[key], (name, key)
+
+
+def _check_eight_shapes(store, order, probes):
+    """select/count/match agree with *order* (the members in insertion
+    order) for every mask of every probe's fields."""
+    for probe in probes:
+        fields = (probe.subject, probe.property, probe.value)
+        for mask in range(8):
+            pattern = tuple(node if mask & (1 << i) else None
+                            for i, node in enumerate(fields))
+            expected = [t for t in order
+                        if all(want is None or want == got for want, got
+                               in zip(pattern, t.as_tuple()))]
+            assert store.select(*pattern) == expected, pattern
+            assert set(store.match(*pattern)) == set(expected), pattern
+            assert store.count(*pattern) == len(expected), pattern
+
+
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["TripleStore", "concurrent"])
+class TestBucketShapes:
+    """A compound-index key holding one triple maps to the bare triple;
+    a second triple promotes it to a set, and a removal down to one
+    demotes it again."""
+
+    def test_every_mutation_leaves_bare_or_multi_buckets(self, concurrent):
+        s = TripleStore(concurrent=concurrent)
+        a1, a2, a3 = (triple("a", "p", i) for i in (1, 2, 3))
+        b1, bq, cq = triple("b", "p", 1), triple("b", "q", 1), \
+            triple("c", "q", 1)
+
+        def bulk_flush():
+            with s.bulk():
+                s.add_all([triple("d", "p", 1), triple("d", "p", 2),
+                           triple("e", "q", 9)])
+                s.add(triple("b", "p", 2))   # promotes (b, p)
+                assert s.count(property=Resource("q")) == 3  # owner flush
+                s.add(triple("f", "q", 9))   # promotes (q, 9)
+
+        steps = [
+            lambda: s.add(a1),
+            lambda: s.add(a2),
+            lambda: s.add_all([a3, b1, bq, cq]),
+            lambda: s.remove(a2),
+            lambda: s.restore(a2, 1),
+            bulk_flush,
+            lambda: s.discard(b1),
+            lambda: s.remove_matching(subject=Resource("a"),
+                                      property=Resource("p")),
+            lambda: s.remove_matching(property=Resource("q"),
+                                      value=Literal(1)),
+            lambda: s.remove_matching(value=Literal(9)),
+        ]
+        for step in steps:
+            step()
+            _check_bucket_shapes(s)
+        assert len(s) == 3
+        s.clear()
+        _check_bucket_shapes(s)
+        assert s._by_subject_property == {} and s._by_property_value == {}
+
+    def test_restore_rows_builds_bare_and_multi_buckets(self, concurrent):
+        nodes = [Resource("a"), Resource("b"), Resource("p"), Resource("q"),
+                 Literal(1), Literal(2), Literal(3)]
+        rows = [(0, 2, 4, 0), (0, 2, 5, 1), (0, 2, 6, 2),   # (a, p) x3
+                (1, 2, 4, 3),                               # (p, 1) x2
+                (1, 3, 4, 4)]                               # (b, q) x1
+        s = TripleStore(concurrent=concurrent)
+        assert s.restore_rows(nodes, rows) == len(rows)
+        _check_bucket_shapes(s)
+        assert isinstance(s._by_subject_property[(nodes[1], nodes[3])], Triple)
+        assert isinstance(s._by_property_value[(nodes[3], nodes[4])], Triple)
+        assert len(s._by_subject_property[(nodes[0], nodes[2])]) == 3
+        assert len(s._by_property_value[(nodes[2], nodes[4])]) == 2
+        _check_eight_shapes(s, list(s), list(s))
+        s.remove(triple("a", "p", 2))
+        s.remove(triple("a", "p", 3))
+        _check_bucket_shapes(s)
+        assert isinstance(s._by_subject_property[(nodes[0], nodes[2])], Triple)
+
+    def test_restore_rows_repeated_row_keeps_one_bare_triple(self, concurrent):
+        nodes = [Resource("a"), Resource("p"), Literal(1)]
+        s = TripleStore(concurrent=concurrent)
+        s.restore_rows(nodes, [(0, 1, 2, 0), (0, 1, 2, 1)])
+        assert len(s) == 1
+        _check_bucket_shapes(s)
+
+    def test_promote_on_second_insert_demote_on_removal_to_one(
+            self, concurrent):
+        s = TripleStore(concurrent=concurrent)
+        a, p, v = Resource("a"), Resource("p"), Literal("v")
+        first, second, third = triple(a, p, v), triple(a, p, "w"), \
+            triple("b", p, v)
+        other = triple("c", "q", "x")
+        probes = [first, second, third, other, triple("z", "p", "v"),
+                  triple("a", "q", "w")]
+        order = []
+
+        def shapes():
+            return (s._by_subject_property.get((a, p)),
+                    s._by_property_value.get((p, v)))
+
+        def check():
+            _check_bucket_shapes(s)
+            _check_eight_shapes(s, order, probes)
+
+        for t in (other, first):
+            s.add(t)
+            order.append(t)
+        check()
+        assert shapes() == (first, first)   # bare in both indexes
+        assert shapes()[0] is first
+
+        s.add(second)                        # promotes (a, p)
+        order.append(second)
+        check()
+        sp, pv = shapes()
+        assert sp == {first, second} and pv is first
+
+        s.add_all([third])                   # promotes (p, v)
+        order.append(third)
+        check()
+        assert shapes() == ({first, second}, {first, third})
+
+        s.remove(first)                      # demotes both
+        order.remove(first)
+        check()
+        assert shapes() == (second, third)
+        assert type(shapes()[0]) is Triple and type(shapes()[1]) is Triple
+
+        s.add(first)                         # promotes both again
+        order.append(first)
+        check()
+        s.remove_matching(subject=a, property=p)
+        order = [t for t in order if (t.subject, t.property) != (a, p)]
+        check()
+        assert shapes() == (None, third)
+
+        s.discard(third)
+        order.remove(third)
+        check()
+        assert shapes() == (None, None)
+
+    def test_demote_rebinds_without_touching_the_old_set(self, concurrent):
+        s = TripleStore(concurrent=concurrent)
+        keep, drop = triple("a", "p", 1), triple("a", "p", 2)
+        s.add_all([keep, drop])
+        pair = s._by_subject_property[(keep.subject, keep.property)]
+        s.remove(drop)
+        assert s._by_subject_property[(keep.subject, keep.property)] is keep
+        assert pair == {keep, drop}   # a racing reader's view is intact
+
+
 class TestStoreProperties:
     """Property-based invariants of the indexed store."""
 
